@@ -45,8 +45,8 @@ class NotOnRationalNormalCurve(FatpointsError):
     """A scheme handed to a curve-specific check has a point off the curve."""
 
 
-class SchemeFormatError(FatpointsError):
-    """A scheme or report document is structurally invalid."""
+class SchemeFormatError(FatpointsError, ValueError):
+    """A scheme, report document or generator request is invalid."""
 
 
 class ResourceLimit(FatpointsError):

@@ -160,14 +160,23 @@ def _rank_of_int_rows(rows: Iterable[dict[int, int]], ncols: int) -> int:
     return len(pivots)
 
 
-def _rref_of_int_rows(rows: Iterable[dict[int, int]], ncols: int):
-    """Reduced row echelon form over Q of the span of the given rows.
+def rank(m: Matrix) -> int:
+    """Rank of ``m`` over the rationals, by fraction-free elimination."""
+    return _rank_of_int_rows(_sparse_int_rows(m), m.cols)
 
-    Returns ``(rref_rows, pivot_cols)`` with sparse Fraction rows whose
-    pivot entries are 1 and whose pivot columns are zero elsewhere.  RREF
-    is unique for a given row space, so the result is canonical.
+
+def nullspace_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
+    """Deterministic basis of ``{v : m v = 0}``.
+
+    Each basis vector corresponds to one free column of the reduced row
+    echelon form: its entry there is 1, it is 0 at every other free column,
+    and its remaining entries sit in pivot columns.  The list is ordered by
+    free column, and always has ``cols - rank(m)`` elements.  RREF is unique
+    for a given row space, so the basis is canonical.
     """
-    echelon, pivots = _echelon(rows, ncols)
+    echelon, pivots = _echelon(_sparse_int_rows(m), m.cols)
+    # back-substitute to the RREF over Q: pivot entries 1, pivot columns
+    # zero in every other row
     red: list[dict[int, Fraction]] = [
         {c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(echelon, pivots)
     ]
@@ -189,45 +198,17 @@ def _rref_of_int_rows(rows: Iterable[dict[int, int]], ncols: int):
                 elif c in new:
                     del new[c]
             red[j] = new
-    return red, pivots
-
-
-def _sparse_nullspace(rows: Iterable[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
-    """Nullspace basis as sparse vectors, one per free column, in column order."""
-    red, pivots = _rref_of_int_rows(rows, ncols)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
+    zero = Fraction(0)
+    out = []
+    for free in range(m.cols):
         if free in pivot_set:
             continue
-        vec: dict[int, Fraction] = {free: Fraction(1)}
+        vec = [zero] * m.cols
+        vec[free] = Fraction(1)
         for r, p in zip(red, pivots):
             coef = r.get(free)
             if coef:
                 vec[p] = -coef
-        basis.append(vec)
-    return basis
-
-
-def rank(m: Matrix) -> int:
-    """Rank of ``m`` over the rationals, by fraction-free elimination."""
-    return _rank_of_int_rows(_sparse_int_rows(m), m.cols)
-
-
-def nullspace_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Deterministic basis of ``{v : m v = 0}``.
-
-    Each basis vector corresponds to one free column of the reduced row
-    echelon form: its entry there is 1, it is 0 at every other free column,
-    and its remaining entries sit in pivot columns.  The list is ordered by
-    free column, and always has ``cols - rank(m)`` elements.
-    """
-    vectors = _sparse_nullspace(_sparse_int_rows(m), m.cols)
-    zero = Fraction(0)
-    out = []
-    for vec in vectors:
-        dense = [zero] * m.cols
-        for c, v in vec.items():
-            dense[c] = v
-        out.append(tuple(dense))
+        out.append(tuple(vec))
     return out

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit
 from .exactlinalg import Matrix, binomial, _rank_of_int_rows
-from .scheme import FatPointScheme, TruncatedScheme, UnitIdeal, multiplicity
+from .scheme import FatPointScheme, TruncatedScheme, UnitIdeal, embed, multiplicity
 
 __all__ = [
     "COLUMN_CAP",
@@ -46,6 +46,7 @@ __all__ = [
     "hilbert_function",
     "regularity_index",
     "hilbert_table",
+    "restriction_ranks",
 ]
 
 # Degrees whose monomial count exceeds this cap are refused with
@@ -166,6 +167,7 @@ def _conditions_int_rows(scheme: FatPointScheme, t: int):
 
     Each point is replaced by an integer representative, which rescales
     every row by a positive factor and so changes neither rank nor kernel.
+    Rows with |alpha| > t would be empty, so they are never built.
     """
     nvars = scheme.ambient_dim + 1
     index = _column_index(nvars, t)
@@ -173,7 +175,7 @@ def _conditions_int_rows(scheme: FatPointScheme, t: int):
     for point, mult in scheme.components:
         coords = _int_coords(point)
         pows = _power_table(coords, t)
-        for alpha in _derivative_indices(nvars, mult):
+        for alpha in _derivative_indices(nvars, min(mult, t + 1)):
             rows.append(_condition_row(coords, pows, alpha, t, index))
     return rows, len(index)
 
@@ -233,6 +235,32 @@ def ideal_dim(scheme: TruncatedScheme, t: int) -> int:
     """Dimension of the degree-t part of the defining ideal."""
     n = scheme.ambient_dim
     return binomial(t + n, n) - hilbert_function(scheme, t)
+
+
+def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[int, int]:
+    """Degree-t ranks ``(stacked, restricted)`` for restricting the image
+    ``embed(scheme, target_dim)`` to the old variables.
+
+    ``stacked`` is the rank of the image's conditions rows with the
+    source's rows appended, lifted onto the old-variable columns; it equals
+    the image's H(t) exactly when substituting zeros for the new variables
+    maps the image ideal into the source ideal.  ``restricted`` is the rank
+    of the image's rows restricted to the old-variable columns.
+    """
+    _cap_check(target_dim, t)
+    n = scheme.ambient_dim
+    image_rows, ncols = _conditions_int_rows(embed(scheme, target_dim), t)
+    source_rows, source_cols = _conditions_int_rows(scheme, t)
+    index = _column_index(target_dim + 1, t)
+    pad = (0,) * (target_dim - n)
+    old_cols = [index[beta + pad] for beta in _exponent_tuples(n + 1, t)]
+    lifted = [{old_cols[c]: v for c, v in row.items()} for row in source_rows]
+    stacked = _rank_of_int_rows(image_rows + lifted, ncols)
+    position = {c: k for k, c in enumerate(old_cols)}
+    restricted_rows = [
+        {position[c]: v for c, v in row.items() if c in position} for row in image_rows
+    ]
+    return stacked, _rank_of_int_rows(restricted_rows, source_cols)
 
 
 def regularity_index(scheme: FatPointScheme) -> int:

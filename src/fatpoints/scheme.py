@@ -135,10 +135,11 @@ def make_scheme(ambient_dim: int, raw_components: Iterable[tuple[Sequence, int]]
     """Validate and normalize components into a scheme.
 
     Component order is preserved.  Raises ZeroPoint, DuplicatePoint,
-    NonpositiveMultiplicity or DimensionMismatch on bad input.
+    NonpositiveMultiplicity, DimensionMismatch or SchemeFormatError (no
+    components, ambient dimension below 1) on bad input.
     """
     if ambient_dim < 1:
-        raise ValueError("ambient dimension must be at least 1")
+        raise SchemeFormatError("ambient dimension must be at least 1")
     components = []
     seen: set[ProjectivePoint] = set()
     for coords, mult in raw_components:
@@ -155,7 +156,7 @@ def make_scheme(ambient_dim: int, raw_components: Iterable[tuple[Sequence, int]]
         seen.add(point)
         components.append((point, mult))
     if not components:
-        raise ValueError("a scheme needs at least one component")
+        raise SchemeFormatError("a scheme needs at least one component")
     return FatPointScheme(ambient_dim, tuple(components))
 
 
@@ -203,7 +204,7 @@ def rnc_points(n: int, params: Sequence[tuple]) -> list[ProjectivePoint]:
     nonzero and pairwise distinct there, which makes the images distinct.
     """
     if n < 1:
-        raise ValueError("ambient dimension must be at least 1")
+        raise SchemeFormatError("ambient dimension must be at least 1")
     pairs = []
     for s, t in params:
         s, t = _to_fraction(s), _to_fraction(t)
@@ -249,11 +250,11 @@ def gen_random(
     normal curve.
     """
     if s != len(mults):
-        raise ValueError(f"s = {s} but {len(mults)} multiplicities were given")
+        raise SchemeFormatError(f"s = {s} but {len(mults)} multiplicities were given")
     if config not in ("generic", "collinear", "rnc"):
-        raise ValueError(f"unknown configuration {config!r}")
+        raise SchemeFormatError(f"unknown configuration {config!r}")
     if n < 1:
-        raise ValueError("ambient dimension must be at least 1")
+        raise SchemeFormatError("ambient dimension must be at least 1")
     rng = random.Random(seed)
 
     def draw_box(k: int):

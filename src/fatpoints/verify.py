@@ -20,15 +20,8 @@ from .errors import (
     TargetTooSmall,
     TooFewPoints,
 )
-from .exactlinalg import _rank_of_int_rows, _sparse_nullspace, binomial
-from .hilbert import (
-    _column_index,
-    _conditions_int_rows,
-    _exponent_tuples,
-    hilbert_function,
-    ideal_dim,
-    regularity_index,
-)
+from .exactlinalg import binomial
+from .hilbert import hilbert_function, ideal_dim, regularity_index, restriction_ranks
 from .scheme import (
     FatPointScheme,
     embed,
@@ -284,49 +277,35 @@ def check_prop44_displayed(scheme: FatPointScheme, target_dim: int) -> Verificat
 
 
 def _restriction_records(scheme: FatPointScheme, target_dim: int, t: int) -> list[CheckRecord]:
+    """Degree-t records for substituting zeros for the new variables.
+
+    (i) Membership compares two subspaces of the image ideal I_t: lhs is
+    the dimension of the members whose restriction lies in the source
+    ideal, rhs is dim I_t.  They are equal exactly when restriction maps
+    I_t into the source ideal; on a failure lhs < rhs, and neither number
+    depends on a choice of basis.
+
+    (ii) The members of I_t involving only the old variables form a space
+    of exactly the source ideal's dimension.
+    """
     n, m = scheme.ambient_dim, target_dim
-    image = embed(scheme, m)
-    big_rows, big_cols = _conditions_int_rows(image, t)
-    small_rows, small_cols = _conditions_int_rows(scheme, t)
-
-    # columns of the big matrix indexed by monomials in the old variables only
-    big_index = _column_index(m + 1, t)
-    pad = (0,) * (m - n)
-    old_cols = {
-        big_index[beta + pad]: k for k, beta in enumerate(_exponent_tuples(n + 1, t))
-    }
-
-    # (i) substituting 0 for the new variables maps the degree-t ideal of the
-    # image into the degree-t ideal of the source: every nullspace vector,
-    # restricted to old-variable columns, must be annihilated by the small matrix
-    annihilated = 0
-    vectors = _sparse_nullspace(big_rows, big_cols)
-    for vec in vectors:
-        restricted = {old_cols[c]: v for c, v in vec.items() if c in old_cols}
-        if all(
-            sum(coeff * restricted.get(c, 0) for c, coeff in row.items()) == 0
-            for row in small_rows
-        ):
-            annihilated += 1
+    image_dim = ideal_dim(embed(scheme, m), t)
+    stacked, restricted = restriction_ranks(scheme, m, t)
+    kept = binomial(t + m, m) - stacked
+    inter_dim = binomial(t + n, n) - restricted
+    source_dim = ideal_dim(scheme, t)
     membership = CheckRecord(
         t,
-        annihilated,
-        len(vectors),
-        annihilated == len(vectors),
+        kept,
+        image_dim,
+        kept == image_dim,
         "restricted ideal members vanish on the source scheme",
     )
-
-    # (ii) the intersection of the embedded ideal with the old-variable span
-    # has exactly the dimension of the source ideal
-    restricted_rows = [
-        {old_cols[c]: v for c, v in row.items() if c in old_cols} for row in big_rows
-    ]
-    inter_dim = small_cols - _rank_of_int_rows(restricted_rows, small_cols)
     dimension = CheckRecord(
         t,
         inter_dim,
-        ideal_dim(scheme, t),
-        inter_dim == ideal_dim(scheme, t),
+        source_dim,
+        inter_dim == source_dim,
         "intersection dimension equals source ideal dimension",
     )
     return [membership, dimension]
@@ -336,8 +315,6 @@ def check_restriction(scheme: FatPointScheme, target_dim: int, t: int) -> Verifi
     """Degree-t restriction checks: ideal membership after substituting zeros,
     and the intersection-dimension identity."""
     _require_larger_target(scheme, target_dim)
-    if t < 0:
-        raise DegreeOutOfRange(f"degree must be nonnegative, got {t}")
     return _report("restriction", scheme, target_dim, _restriction_records(scheme, target_dim, t))
 
 

@@ -185,6 +185,22 @@ def test_input_errors_exit_one(tmp_path, capsys):
     assert main(["embed", "--scheme", str(bad), "--target-dim", "3"]) == 1
 
 
+def test_invalid_scheme_values_exit_one_without_traceback(tmp_path, capsys):
+    zero_dim = tmp_path / "zero_dim.json"
+    zero_dim.write_text('{"ambient_dim": 0, "points": [{"coords": ["1"], "multiplicity": 1}]}')
+    no_points = tmp_path / "no_points.json"
+    no_points.write_text('{"ambient_dim": 2, "points": []}')
+    for argv in (
+        ["gen", "--n", "0", "--mults", "1", "--config", "generic", "--seed", "0"],
+        ["reg", "--scheme", str(zero_dim)],
+        ["reg", "--scheme", str(no_points)],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fatpoints: error: ") and err.count("\n") == 1, argv
+        assert "Traceback" not in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["unknown-command"]) == 1

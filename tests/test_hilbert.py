@@ -6,6 +6,7 @@ import pytest
 import fatpoints.hilbert as hilbert_mod
 from fatpoints.errors import DegreeOutOfRange, ResourceLimit
 from fatpoints.hilbert import (
+    _conditions_int_rows,
     conditions_matrix,
     hilbert_function,
     hilbert_table,
@@ -124,6 +125,11 @@ def test_single_fat_point_closed_form():
             z = _single(n, m, coords)
             for t in range(m + 2):
                 assert hilbert_function(z, t) == single_point_hilbert(n, m, t)
+    # a 60-fold point: rows with |alpha| > t are empty and never built
+    z = _single(3, 60)
+    assert len(_conditions_int_rows(z, 1)[0]) == 5
+    for t in range(3):
+        assert hilbert_function(z, t) == binomial(t + 3, 3)
 
 
 def test_hilbert_invariant_under_coordinate_change():

@@ -1,8 +1,14 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import fatpoints.hilbert as hilbert_mod
+import fatpoints.verify as verify_mod
 from fatpoints.errors import (
     DegreeOutOfRange,
     NotOnRationalNormalCurve,
+    ResourceLimit,
     SchemeFormatError,
     TargetTooSmall,
     TooFewPoints,
@@ -228,11 +234,28 @@ class TestRestriction:
         assert report.passed
         assert {r.t for r in report.records} == set(range(regularity_index(z) + 2))
 
-    def test_degree_validation(self):
+    def test_degree_validation(self, monkeypatch):
         with pytest.raises(DegreeOutOfRange):
             check_restriction(DOUBLE_LINE, 2, -1)
         with pytest.raises(TargetTooSmall):
             check_restriction(DOUBLE_LINE, 1, 0)
+        # degree 3 needs 4 source columns but 10 embedded ones
+        monkeypatch.setattr(hilbert_mod, "COLUMN_CAP", 5)
+        with pytest.raises(ResourceLimit):
+            check_restriction(DOUBLE_LINE, 2, 3)
+
+
+def test_verify_imports_no_private_names():
+    tree = ast.parse(Path(verify_mod.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("fatpoints"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 class TestLemma23:
