@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import hilbert as hilbert_mod
-from .errors import FatpointsError, ResourceLimit
+from .errors import DegreeOutOfRange, FatpointsError, ResourceLimit
 from .hilbert import hilbert_function, regularity_index
 from .scheme import (
     embed,
@@ -67,6 +67,8 @@ def _parse_mults(raw: str) -> list[int]:
 
 def _cmd_hilbert(args) -> int:
     scheme = _load_scheme(args.scheme)
+    if args.tmax is not None and args.tmax < 0:
+        raise DegreeOutOfRange(f"--tmax must be nonnegative, got {args.tmax}")
     degrees = [args.t] if args.t is not None else list(range(args.tmax + 1))
     values = [(t, hilbert_function(scheme, t)) for t in degrees]
     if args.format == "json":
@@ -111,6 +113,8 @@ def _cmd_verify(args) -> int:
         names, explicit = ["all"], False
     else:
         names = [part for part in args.checks.split(",") if part != ""]
+        if not names:
+            raise FatpointsError("check list is empty")
         explicit = "all" not in names
     reports = run_checks(
         scheme,

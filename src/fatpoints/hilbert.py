@@ -2,8 +2,9 @@
 
 For a scheme Z = m1*P1 + ... + ms*Ps in P^n and a degree t, the conditions
 matrix has one column per degree-t monomial in n+1 variables and one row
-per pair (point, derivative multi-index alpha with |alpha| <= m_i - 1).
-The entry in row (i, alpha) and column beta is the divided-power
+per pair (point, derivative multi-index alpha with |alpha| <= m_i - 1 and
+|alpha| <= t; rows with |alpha| > t would be all zero, so they are left
+out).  The entry in row (i, alpha) and column beta is the divided-power
 derivative value
 
     C(beta, alpha) * P_i^(beta - alpha),   C(beta, alpha) = prod_j C(beta_j, alpha_j),
@@ -69,7 +70,8 @@ class ConditionsMatrix:
     """Vanishing-conditions matrix plus its row and column labels.
 
     row_index[k] is the pair (component position, derivative multi-index)
-    that produced row k; columns follow ``basis.exponents``.
+    that produced row k; multi-indices of order above the degree give
+    all-zero rows and are not listed.  Columns follow ``basis.exponents``.
     """
 
     matrix: Matrix
@@ -195,7 +197,9 @@ def conditions_matrix(scheme: FatPointScheme, t: int) -> ConditionsMatrix:
     """Exact conditions matrix of the scheme in degree t.
 
     Rows are ordered by component, then by the derivative multi-index in
-    graded-lex order; entries use the normalized point coordinates.
+    graded-lex order; entries use the normalized point coordinates.  Only
+    multi-indices with |alpha| <= t are listed: the rest give all-zero rows,
+    so ``row_index`` has no label for them.
     """
     _cap_check(scheme.ambient_dim, t)
     nvars = scheme.ambient_dim + 1
@@ -206,7 +210,7 @@ def conditions_matrix(scheme: FatPointScheme, t: int) -> ConditionsMatrix:
     labels = []
     for ci, (point, mult) in enumerate(scheme.components):
         pows = _power_table(point.coords, t)
-        for alpha in _derivative_indices(nvars, mult):
+        for alpha in _derivative_indices(nvars, min(mult, t + 1)):
             sparse = _condition_row(point.coords, pows, alpha, t, index)
             row = [zero] * len(basis.exponents)
             for c, v in sparse.items():

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DegreeOutOfRange,
+    NonpositiveMultiplicity,
     NotOnRationalNormalCurve,
     SchemeFormatError,
     TargetTooSmall,
@@ -96,12 +97,9 @@ def _require_larger_target(scheme: FatPointScheme, target_dim: int) -> None:
 
 def check_reg_invariance(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     """Regularity index before and after embedding, by two full rank scans."""
-    if target_dim < scheme.ambient_dim:
-        raise TargetTooSmall(
-            f"target dimension {target_dim} is below ambient {scheme.ambient_dim}"
-        )
+    image = embed(scheme, target_dim)
     reg_source = regularity_index(scheme)
-    reg_image = regularity_index(embed(scheme, target_dim))
+    reg_image = regularity_index(image)
     rec = CheckRecord(
         t=None,
         lhs=reg_source,
@@ -116,8 +114,7 @@ def check_stable_range(scheme: FatPointScheme, target_dim: int) -> VerificationR
     """In the stable range both Hilbert functions equal their multiplicity
     formulas, and the embedded one dominates, strictly unless all m_i = 1."""
     _require_larger_target(scheme, target_dim)
-    n, m = scheme.ambient_dim, target_dim
-    image = embed(scheme, m)
+    image = embed(scheme, target_dim)
     e_n = multiplicity(scheme)
     e_m = multiplicity(image)
     all_simple = all(mi == 1 for mi in scheme.multiplicities)
@@ -141,6 +138,17 @@ def check_stable_range(scheme: FatPointScheme, target_dim: int) -> VerificationR
     return _report("stable_range", scheme, target_dim, records)
 
 
+def _truncation_sum(scheme: FatPointScheme, target_dim: int, t: int, shift: int = 0) -> int:
+    """dim I_Z(t) + sum_{i<t} C(m-n-1+shift+t-i, t-i) * dim I_trunc(t-i)(i): with
+    shift 0, the embedded ideal dimension the transfer formula predicts."""
+    n, m = scheme.ambient_dim, target_dim
+    total = ideal_dim(scheme, t)
+    for i in range(t):
+        drop = t - i
+        total += binomial(m - n - 1 + shift + drop, drop) * ideal_dim(truncate(scheme, drop), i)
+    return total
+
+
 def transfer_rhs(scheme: FatPointScheme, target_dim: int, t: int) -> int:
     """Right-hand side of the transfer formula for the embedded Hilbert value:
 
@@ -155,24 +163,17 @@ def transfer_rhs(scheme: FatPointScheme, target_dim: int, t: int) -> int:
     reg = regularity_index(scheme)
     if t < 0 or t >= reg:
         raise DegreeOutOfRange(f"transfer formula needs 0 <= t < reg = {reg}, got {t}")
-    n, m = scheme.ambient_dim, target_dim
-    total = hilbert_function(scheme, t) + binomial(t + m, m) - binomial(t + n, n)
-    for i in range(t):
-        drop = t - i
-        missing = binomial(i + n, n) - hilbert_function(truncate(scheme, drop), i)
-        total -= binomial(m - n - 1 + drop, drop) * missing
-    return total
+    return binomial(t + target_dim, target_dim) - _truncation_sum(scheme, target_dim, t)
 
 
 def check_transfer(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     """Embedded Hilbert value vs the transfer formula, for every t below reg."""
     _require_larger_target(scheme, target_dim)
     image = embed(scheme, target_dim)
-    reg = regularity_index(scheme)
     records = []
-    for t in range(reg):
+    for t in range(regularity_index(scheme)):
         lhs = hilbert_function(image, t)
-        rhs = transfer_rhs(scheme, target_dim, t)
+        rhs = binomial(t + target_dim, target_dim) - _truncation_sum(scheme, target_dim, t)
         records.append(CheckRecord(t, lhs, rhs, lhs == rhs, "embedded H vs transfer formula"))
     note = "" if records else "no degrees below the regularity index"
     return _report("transfer", scheme, target_dim, records, note)
@@ -186,63 +187,38 @@ def check_cor46(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     the record there checks that boundary equality instead.
     """
     _require_larger_target(scheme, target_dim)
-    n, m = scheme.ambient_dim, target_dim
-    image = embed(scheme, m)
+    image = embed(scheme, target_dim)
     reg = regularity_index(scheme)
-    records = []
-    if m == n + 1:
-        for t in range(reg):
-            rhs = hilbert_function(scheme, t) + sum(
-                hilbert_function(truncate(scheme, t - i), i) for i in range(t)
-            )
-            lhs = hilbert_function(image, t)
-            records.append(
-                CheckRecord(t, lhs, rhs, lhs == rhs, "single-step additive identity")
-            )
+    single_step = target_dim == scheme.ambient_dim + 1
+    some_fat = any(mi >= 2 for mi in scheme.multiplicities)
+    additive, dominance, strictness = [], [], []
     for t in range(reg + 2):
         h_m = hilbert_function(image, t)
         h_n = hilbert_function(scheme, t)
-        records.append(CheckRecord(t, h_m, h_n, h_m >= h_n, "embedded H dominates"))
-    some_fat = any(mi >= 2 for mi in scheme.multiplicities)
-    note = ""
-    if some_fat:
-        h_m0 = hilbert_function(image, 0)
-        h_n0 = hilbert_function(scheme, 0)
-        records.append(
-            CheckRecord(
-                0,
-                h_m0,
-                h_n0,
-                h_m0 == 1 and h_n0 == 1,
-                "statement boundary: both sides equal 1 at t = 0",
-            )
-        )
-        for t in range(1, reg + 2):
-            h_m = hilbert_function(image, t)
-            h_n = hilbert_function(scheme, t)
-            records.append(
+        if single_step and t < reg:
+            rhs = h_n + sum(hilbert_function(truncate(scheme, t - i), i) for i in range(t))
+            additive.append(CheckRecord(t, h_m, rhs, h_m == rhs, "single-step additive identity"))
+        dominance.append(CheckRecord(t, h_m, h_n, h_m >= h_n, "embedded H dominates"))
+        if some_fat and t == 0:
+            boundary = "statement boundary: both sides equal 1 at t = 0"
+            strictness.append(CheckRecord(0, h_m, h_n, h_m == 1 and h_n == 1, boundary))
+        elif some_fat:
+            strictness.append(
                 CheckRecord(t, h_m, h_n, h_m > h_n, "strict dominance (some m_i >= 2)")
             )
-    else:
-        note = "strictness vacuous: all multiplicities are 1"
-    return _report("cor46", scheme, target_dim, records, note)
+    note = "" if some_fat else "strictness vacuous: all multiplicities are 1"
+    return _report("cor46", scheme, target_dim, additive + dominance + strictness, note)
 
 
-def _dimension_identity_records(scheme, target_dim, upper_shift):
+def _dimension_identity_records(scheme, target_dim, shift):
     """Records for the ideal-dimension identity with new-variable coefficient
-    C(m - n - 1 + upper_shift + d, d); upper_shift selects the variant."""
-    n, m = scheme.ambient_dim, target_dim
-    image = embed(scheme, m)
-    reg = regularity_index(scheme)
+    C(m - n - 1 + shift + d, d); shift selects the variant."""
+    _require_larger_target(scheme, target_dim)
+    image = embed(scheme, target_dim)
     records = []
-    for t in range(reg):
-        rhs = ideal_dim(scheme, t)
-        for i in range(t):
-            drop = t - i
-            rhs += binomial(m - n - 1 + upper_shift + drop, drop) * ideal_dim(
-                truncate(scheme, drop), i
-            )
+    for t in range(regularity_index(scheme)):
         lhs = ideal_dim(image, t)
+        rhs = _truncation_sum(scheme, target_dim, t, shift)
         records.append(
             CheckRecord(t, lhs, rhs, lhs == rhs, "embedded ideal dimension vs sum")
         )
@@ -252,7 +228,6 @@ def _dimension_identity_records(scheme, target_dim, upper_shift):
 def check_prop44(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     """Ideal-dimension identity with coefficient C(m-n-1+t-i, t-i), the
     number of degree-(t-i) monomials in the m-n new variables."""
-    _require_larger_target(scheme, target_dim)
     records = _dimension_identity_records(scheme, target_dim, 0)
     note = "" if records else "no degrees below the regularity index"
     return _report("prop44", scheme, target_dim, records, note)
@@ -265,7 +240,6 @@ def check_prop44_displayed(scheme: FatPointScheme, target_dim: int) -> Verificat
     a failing report here is evidence for resolving the coefficient in
     favour of C(m-n-1+t-i, t-i).
     """
-    _require_larger_target(scheme, target_dim)
     records = _dimension_identity_records(scheme, target_dim, 1)
     return _report(
         "prop44_displayed_variant",
@@ -357,6 +331,11 @@ def rnc_reg_formula(mults, n: int) -> int:
     with m1 >= m2 the two largest multiplicities.  Input order does not
     matter; the list is sorted internally.
     """
+    if n < 1:
+        raise SchemeFormatError(f"ambient dimension must be at least 1, got {n}")
+    for mi in mults:
+        if mi < 1:
+            raise NonpositiveMultiplicity(f"multiplicity {mi!r} is not a positive integer")
     if len(mults) < 2:
         raise TooFewPoints("the formula references the two largest multiplicities")
     ordered = sorted(mults, reverse=True)
@@ -389,13 +368,10 @@ def check_rnc(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
         raise NotOnRationalNormalCurve(
             "a point is off the rational normal curve; the formula does not apply"
         )
-    if target_dim < scheme.ambient_dim:
-        raise TargetTooSmall(
-            f"target dimension {target_dim} is below ambient {scheme.ambient_dim}"
-        )
+    image = embed(scheme, target_dim)
     expected = rnc_reg_formula(scheme.multiplicities, scheme.ambient_dim)
     reg_source = regularity_index(scheme)
-    reg_image = regularity_index(embed(scheme, target_dim))
+    reg_image = regularity_index(image)
     records = [
         CheckRecord(None, reg_source, expected, reg_source == expected, "reg vs formula"),
         CheckRecord(
@@ -403,6 +379,18 @@ def check_rnc(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
         ),
     ]
     return _report("rnc", scheme, target_dim, records)
+
+
+def _rnc_report(scheme: FatPointScheme, target_dim: int, explicit: bool) -> VerificationReport:
+    """check_rnc, or a passing not-applicable report when the scheme is off
+    the curve or has one point and the check was not selected explicitly."""
+    if explicit or (scheme.num_points >= 2 and points_on_rnc(scheme)):
+        return check_rnc(scheme, target_dim)
+    if scheme.num_points < 2:
+        why = "fewer than two points"
+    else:
+        why = "points are not on the rational normal curve"
+    return _report("rnc", scheme, target_dim, [], note=f"not applicable: {why}")
 
 
 CHECK_NAMES = (
@@ -440,40 +428,21 @@ def run_checks(
     unknown = sorted(set(requested) - set(CHECK_NAMES))
     if unknown:
         raise SchemeFormatError(f"unknown checks: {', '.join(unknown)}")
+    # built per call, so a check function replaced on the module is the one that runs
+    table = {
+        "reg": [check_reg_invariance],
+        "stable": [check_stable_range],
+        "transfer": [check_transfer],
+        "cor46": [check_cor46],
+        "prop44": [check_prop44] + ([check_prop44_displayed] if prop44_diagnostic else []),
+        "restriction": [check_restriction_range],
+        "lemma23": [lambda scheme, target_dim: check_lemma23(scheme)],
+        "rnc": [lambda scheme, target_dim: _rnc_report(scheme, target_dim, explicit)],
+    }
     reports = []
     for name in CHECK_NAMES:
-        if name not in requested:
-            continue
-        if name == "reg":
-            reports.append(check_reg_invariance(scheme, target_dim))
-        elif name == "stable":
-            reports.append(check_stable_range(scheme, target_dim))
-        elif name == "transfer":
-            reports.append(check_transfer(scheme, target_dim))
-        elif name == "cor46":
-            reports.append(check_cor46(scheme, target_dim))
-        elif name == "prop44":
-            reports.append(check_prop44(scheme, target_dim))
-            if prop44_diagnostic:
-                reports.append(check_prop44_displayed(scheme, target_dim))
-        elif name == "restriction":
-            reports.append(check_restriction_range(scheme, target_dim))
-        elif name == "lemma23":
-            reports.append(check_lemma23(scheme))
-        elif name == "rnc":
-            if scheme.num_points >= 2 and points_on_rnc(scheme):
-                reports.append(check_rnc(scheme, target_dim))
-            elif explicit:
-                check_rnc(scheme, target_dim)  # raises with the precise reason
-            else:
-                why = (
-                    "fewer than two points"
-                    if scheme.num_points < 2
-                    else "points are not on the rational normal curve"
-                )
-                reports.append(
-                    _report("rnc", scheme, target_dim, [], note=f"not applicable: {why}")
-                )
+        if name in requested:
+            reports.extend(check(scheme, target_dim) for check in table[name])
     return reports
 
 

@@ -51,6 +51,16 @@ def test_hilbert_requires_exactly_one_degree_flag(double_point_file, capsys):
     assert main(["hilbert", "--scheme", double_point_file, "--t", "1", "--tmax", "2"]) == 1
 
 
+def test_negative_degrees_exit_one(double_point_file, capsys):
+    for flag in ("--t", "--tmax"):
+        for fmt in ("text", "json"):
+            argv = ["hilbert", "--scheme", double_point_file, flag, "-1", "--format", fmt]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("fatpoints: error: ") and captured.err.count("\n") == 1
+
+
 def test_embed_pipeline_matches_library(triple_point_file, tmp_path, capsys):
     out = tmp_path / "embedded.json"
     assert main(["embed", "--scheme", triple_point_file, "--target-dim", "3", "-o", str(out)]) == 0
@@ -177,6 +187,14 @@ def test_verify_unknown_check_is_usage_error(triple_point_file, capsys):
     )
 
 
+def test_verify_empty_check_list_exit_one(triple_point_file, capsys):
+    for checks in (",", ""):
+        argv = ["verify", "--scheme", triple_point_file, "--target-dim", "3", "--checks", checks]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "fatpoints: error: check list is empty\n"
+
+
 def test_input_errors_exit_one(tmp_path, capsys):
     assert main(["reg", "--scheme", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"
@@ -227,3 +245,11 @@ def test_rnc_formula_command(capsys):
     assert capsys.readouterr().out == "4\n"
     assert main(["rnc-formula", "--n", "2", "--mults", "3"]) == 1
     assert main(["rnc-formula", "--n", "2", "--mults", "3,x"]) == 1
+
+
+def test_rnc_formula_bad_values_exit_one(capsys):
+    for n, mults in (("0", "2,1"), ("-1", "2,1"), ("2", "2,-1")):
+        assert main(["rnc-formula", "--n", n, "--mults", mults]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fatpoints: error: ") and captured.err.count("\n") == 1

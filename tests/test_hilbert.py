@@ -64,6 +64,10 @@ def test_conditions_matrix_shape():
     assert cm.matrix.cols == binomial(4 + 2, 2)
     # one row per derivative multi-index of order below the multiplicity
     assert cm.matrix.rows == len(cm.row_index) == binomial(2 + 3, 3) + binomial(1 + 3, 3)
+    # orders above the degree give all-zero rows, which are left out
+    cm = conditions_matrix(_single(3, 60), 1)
+    assert cm.matrix.rows == len(cm.row_index) == 5
+    assert rank(cm.matrix) == 4
 
 
 def test_conditions_matrix_nullspace_is_ideal():

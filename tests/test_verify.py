@@ -7,6 +7,7 @@ import fatpoints.hilbert as hilbert_mod
 import fatpoints.verify as verify_mod
 from fatpoints.errors import (
     DegreeOutOfRange,
+    NonpositiveMultiplicity,
     NotOnRationalNormalCurve,
     ResourceLimit,
     SchemeFormatError,
@@ -291,6 +292,14 @@ class TestRncFormula:
         with pytest.raises(TooFewPoints):
             rnc_reg_formula([3], 2)
 
+    def test_rejects_bad_dimension_and_multiplicities(self):
+        for n in (0, -1):
+            with pytest.raises(SchemeFormatError):
+                rnc_reg_formula([2, 1], n)
+        for mults in ([2, -1], [0, 3, 1]):
+            with pytest.raises(NonpositiveMultiplicity):
+                rnc_reg_formula(mults, 2)
+
 
 class TestCheckRnc:
     def test_four_double_points_on_conic(self):
@@ -347,6 +356,13 @@ class TestRunChecks:
         assert not displayed.passed  # the expected machine evidence
         others = [r for r in reports if r.check != "prop44_displayed_variant"]
         assert all(r.passed for r in others)
+
+    def test_selection_runs_each_check_once_in_fixed_order(self):
+        z = gen_random(2, 3, [2, 1, 1], config="rnc", seed=6)
+        reports = run_checks(z, 4, ["rnc", "reg", "reg"])
+        assert [r.check for r in reports] == ["reg_invariance", "rnc"]
+        reports = run_checks(z, 4, ["lemma23", "reg"], prop44_diagnostic=True)
+        assert [r.check for r in reports] == ["reg_invariance", "lemma23"]
 
     def test_unknown_check_rejected(self):
         with pytest.raises(SchemeFormatError):
