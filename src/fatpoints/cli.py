@@ -69,7 +69,7 @@ def _cmd_hilbert(args) -> int:
     scheme = _load_scheme(args.scheme)
     if args.tmax is not None and args.tmax < 0:
         raise DegreeOutOfRange(f"--tmax must be nonnegative, got {args.tmax}")
-    degrees = [args.t] if args.t is not None else list(range(args.tmax + 1))
+    degrees = [args.t] if args.t is not None else range(args.tmax + 1)
     values = [(t, hilbert_function(scheme, t)) for t in degrees]
     if args.format == "json":
         doc = {

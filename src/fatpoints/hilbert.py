@@ -12,7 +12,12 @@ derivative value
 which is zero whenever some beta_j < alpha_j.  Divided powers differ from
 raw derivatives by the per-row factor alpha!, so in characteristic zero
 the nullspace is exactly the degree-t part of the defining ideal, while
-the integers involved stay smaller.  Consequently
+the integers involved stay smaller.  One flat loop builds every row as a
+sparse integer row from the point's integer representative, the point
+times lead_i, the common denominator of its coordinates.  That scales row
+(i, alpha) by lead_i^(t - |alpha|), which changes neither rank nor kernel;
+``conditions_matrix`` divides the factor out for its Fraction entries.
+Consequently
 
     H(t)          = rank(conditions matrix),
     dim (I_Z)_t   = C(t+n, n) - H(t),
@@ -31,6 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from operator import add
 
 from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit
 from .exactlinalg import Matrix, binomial, _rank_of_int_rows
@@ -90,13 +97,14 @@ class HilbertTable:
 
 @lru_cache(maxsize=None)
 def _exponent_tuples(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    if num_vars == 1:
-        return ((degree,),)
+    """Exponent vectors of one degree in descending lexicographic order, by
+    stars and bars: ascending bar positions give ascending vectors."""
+    slots = degree + num_vars - 1
     out = []
-    for d in range(degree, -1, -1):
-        for rest in _exponent_tuples(num_vars - 1, degree - d):
-            out.append((d,) + rest)
-    return tuple(out)
+    for bars in combinations(range(slots), num_vars - 1):
+        edges = (-1,) + bars + (slots,)
+        out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+    return tuple(reversed(out))
 
 
 @lru_cache(maxsize=None)
@@ -111,75 +119,41 @@ def monomial_basis(num_vars: int, degree: int) -> MonomialBasis:
     return MonomialBasis(num_vars, degree, _exponent_tuples(num_vars, degree))
 
 
-def _derivative_indices(num_vars: int, order_bound: int):
-    """Multi-indices alpha with |alpha| < order_bound, grades ascending."""
-    for g in range(order_bound):
-        yield from _exponent_tuples(num_vars, g)
+def _labelled_rows(scheme: FatPointScheme, t: int):
+    """Yield ``((component, alpha), scale, row)`` for every degree-t row, by
+    component, then alpha in graded-lex order, |alpha| <= min(m_i - 1, t).
 
-
-def _condition_row(coords, pows, alpha, degree, col_index) -> dict:
-    """One sparse conditions row: entries C(alpha+delta, alpha) * P^delta.
-
-    ``coords`` supplies zero tests and ``pows[j][e]`` the e-th power of
-    coordinate j, so the same code serves exact Fraction rows and
-    integer-rescaled rows.  Branches over zero coordinates are pruned,
-    which is what keeps rows of embedded schemes sparse.
-    """
-    remaining = degree - sum(alpha)
-    if remaining < 0:
-        return {}
-    last = len(coords) - 1
-    row: dict = {}
-    comb = math.comb
-
-    def walk(j, rem, val, beta):
-        aj = alpha[j]
-        if j == last:
-            if rem and coords[j] == 0:
-                return
-            row[col_index[beta + (aj + rem,)]] = val * comb(aj + rem, aj) * pows[j][rem]
-            return
-        if coords[j] == 0:
-            walk(j + 1, rem, val, beta + (aj,))
-            return
-        for d in range(rem + 1):
-            walk(j + 1, rem - d, val * comb(aj + d, aj) * pows[j][d], beta + (aj + d,))
-
-    walk(0, remaining, 1, ())
-    return row
-
-
-def _int_coords(point) -> tuple[int, ...]:
-    den = math.lcm(*(c.denominator for c in point.coords))
-    return tuple(int(c * den) for c in point.coords)
-
-
-def _power_table(coords, degree) -> list[list]:
-    table = []
-    for c in coords:
-        pows = [1]
-        for _ in range(degree):
-            pows.append(pows[-1] * c)
-        table.append(pows)
-    return table
-
-
-def _conditions_int_rows(scheme: FatPointScheme, t: int):
-    """Sparse integer rows of the conditions matrix (per-row rescaled).
-
-    Each point is replaced by an integer representative, which rescales
-    every row by a positive factor and so changes neither rank nor kernel.
-    Rows with |alpha| > t would be empty, so they are never built.
+    With c the integer representative of P_i, row (i, alpha) has one entry
+    prod_j C(alpha_j + delta_j, delta_j) * c_j^delta_j in column alpha + delta
+    for each delta of degree t - |alpha| on the nonzero coordinates of c.
+    It is the normalized point's row times scale = lead_i^(t - |alpha|).
     """
     nvars = scheme.ambient_dim + 1
     index = _column_index(nvars, t)
-    rows = []
-    for point, mult in scheme.components:
-        coords = _int_coords(point)
-        pows = _power_table(coords, t)
-        for alpha in _derivative_indices(nvars, min(mult, t + 1)):
-            rows.append(_condition_row(coords, pows, alpha, t, index))
-    return rows, len(index)
+    for ci, (point, mult) in enumerate(scheme.components):
+        lead = math.lcm(*(c.denominator for c in point.coords))
+        coords = tuple(int(c * lead) for c in point.coords)
+        support = [j for j, c in enumerate(coords) if c]
+        for g in range(min(mult - 1, t) + 1):
+            deltas = []
+            for local in _exponent_tuples(len(support), t - g):
+                delta = [0] * nvars
+                for j, d in zip(support, local):
+                    delta[j] = d
+                deltas.append((tuple(delta), math.prod(map(pow, coords, delta))))
+            scale = lead ** (t - g)
+            for alpha in _exponent_tuples(nvars, g):
+                row = {}
+                for delta, power in deltas:
+                    beta = tuple(map(add, alpha, delta))
+                    row[index[beta]] = power * math.prod(map(math.comb, beta, delta))
+                yield (ci, alpha), scale, row
+
+
+def _conditions_int_rows(scheme: FatPointScheme, t: int):
+    """Sparse integer rows of the degree-t conditions matrix, and its width."""
+    rows = [row for _, _, row in _labelled_rows(scheme, t)]
+    return rows, binomial(t + scheme.ambient_dim, scheme.ambient_dim)
 
 
 def _cap_check(ambient_dim: int, t: int) -> None:
@@ -197,26 +171,22 @@ def conditions_matrix(scheme: FatPointScheme, t: int) -> ConditionsMatrix:
     """Exact conditions matrix of the scheme in degree t.
 
     Rows are ordered by component, then by the derivative multi-index in
-    graded-lex order; entries use the normalized point coordinates.  Only
+    graded-lex order; entries use the normalized point coordinates, so row
+    (i, alpha) is the integer row divided by lead_i^(t - |alpha|).  Only
     multi-indices with |alpha| <= t are listed: the rest give all-zero rows,
     so ``row_index`` has no label for them.
     """
     _cap_check(scheme.ambient_dim, t)
-    nvars = scheme.ambient_dim + 1
-    basis = monomial_basis(nvars, t)
-    index = _column_index(nvars, t)
+    basis = monomial_basis(scheme.ambient_dim + 1, t)
     zero = Fraction(0)
     dense_rows = []
     labels = []
-    for ci, (point, mult) in enumerate(scheme.components):
-        pows = _power_table(point.coords, t)
-        for alpha in _derivative_indices(nvars, min(mult, t + 1)):
-            sparse = _condition_row(point.coords, pows, alpha, t, index)
-            row = [zero] * len(basis.exponents)
-            for c, v in sparse.items():
-                row[c] = Fraction(v)
-            dense_rows.append(row)
-            labels.append((ci, alpha))
+    for label, scale, row in _labelled_rows(scheme, t):
+        dense = [zero] * len(basis.exponents)
+        for c, v in row.items():
+            dense[c] = Fraction(v, scale)
+        dense_rows.append(dense)
+        labels.append(label)
     matrix = Matrix.from_rows(dense_rows, cols=len(basis.exponents))
     return ConditionsMatrix(matrix, tuple(labels), basis)
 
@@ -270,15 +240,22 @@ def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[
 def regularity_index(scheme: FatPointScheme) -> int:
     """Least t with H(t) equal to the multiplicity, by ascending scan.
 
-    The scan is capped at sum(m_i) - 1, the classical worst case attained
-    by collinear points; exceeding it means the Hilbert computation itself
-    is broken, so that raises InternalBoundViolation rather than looping.
+    Since H(t) <= C(t+n, n), the scan starts at the least t where C(t+n, n)
+    reaches the multiplicity or exceeds the column cap; such a first degree
+    over the cap is refused before any elimination.  The scan is capped at
+    sum(m_i) - 1, the classical worst case attained by collinear points;
+    exceeding it means the Hilbert computation itself is broken, so that
+    raises InternalBoundViolation rather than looping.
     """
     if isinstance(scheme, UnitIdeal):
         raise ValueError("the regularity index needs a nonempty scheme")
     target = multiplicity(scheme)
+    n = scheme.ambient_dim
+    low = 0
+    while binomial(low + n, n) < min(target, COLUMN_CAP + 1):
+        low += 1
     bound = scheme.total_multiplicity() - 1
-    for t in range(bound + 1):
+    for t in range(low, bound + 1):
         if hilbert_function(scheme, t) == target:
             return t
     raise InternalBoundViolation(

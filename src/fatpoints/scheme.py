@@ -63,7 +63,10 @@ def _to_fraction(value) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_STRING.match(value):
             raise SchemeFormatError(f"not an integer or fraction string: {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError as exc:  # over the interpreter's integer-string limit
+            raise SchemeFormatError(f"coordinate of {len(value)} characters: {exc}") from None
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise SchemeFormatError(f"coordinates must be exact rationals, got {value!r}")
@@ -329,7 +332,7 @@ def scheme_from_json_dict(doc: dict) -> FatPointScheme:
 def scheme_from_json(text: str) -> FatPointScheme:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number over the integer-string limit
         raise SchemeFormatError(f"invalid JSON: {exc}") from None
     return scheme_from_json_dict(doc)
 

@@ -1,9 +1,12 @@
 import json
+import sys
+import tracemalloc
 
 import pytest
 
 import fatpoints.verify as verify_mod
 from fatpoints.cli import main
+from fatpoints.errors import SchemeFormatError
 from fatpoints.hilbert import hilbert_function, regularity_index
 from fatpoints.scheme import embed, make_scheme, scheme_from_json, scheme_to_json
 from fatpoints.verify import CheckRecord, VerificationReport, report_from_json
@@ -217,6 +220,74 @@ def test_invalid_scheme_values_exit_one_without_traceback(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("fatpoints: error: ") and err.count("\n") == 1, argv
         assert "Traceback" not in err
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="interpreter has no integer-string limit",
+)
+def test_oversized_integers_exit_one(tmp_path, capsys):
+    big = "9" * (sys.get_int_max_str_digits() + 1)
+    template = '{"ambient_dim": %s, "points": [{"coords": ["1", "%s"], "multiplicity": %s}]}'
+    docs = {
+        "dim.json": template % (big, 0, 1),
+        "coord.json": template % (1, big, 1),
+        "mult.json": template % (1, 0, big),
+    }
+    for name, text in docs.items():
+        path = tmp_path / name
+        path.write_text(text)
+        for command in ("reg", "multiplicity"):
+            assert main([command, "--scheme", str(path)]) == 1, name
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("fatpoints: error: ") and captured.err.count("\n") == 1
+    with pytest.raises(SchemeFormatError):
+        report_from_json('{"check": "rnc", "records": [{"lhs": %s}]}' % big)
+
+
+def _assert_resource_limit(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fatpoints: resource limit: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_oversized_work_exits_three_at_once(tmp_path, capsys):
+    # reg's first possible degree is over the cap for a 10^9-fold point, and
+    # the embedded rows of P^500 are built without recursing per variable
+    huge = tmp_path / "huge.json"
+    huge.write_text(scheme_to_json(make_scheme(1, [((1, 0), 10**9)])))
+    two = tmp_path / "two.json"
+    two.write_text(
+        '{"ambient_dim": 2, "points": [{"coords": ["1","0","0"], "multiplicity": 2},'
+        ' {"coords": ["0","1","1"], "multiplicity": 1}]}'
+    )
+    for argv in (
+        ["reg", "--scheme", str(huge)],
+        ["verify", "--scheme", str(two), "--target-dim", "500"],
+    ):
+        assert main(argv) == 3, argv
+        _assert_resource_limit(capsys)
+
+
+def test_hilbert_degree_zero_in_high_dimension(tmp_path, capsys):
+    path = tmp_path / "p600.json"
+    path.write_text(scheme_to_json(make_scheme(600, [((1,) + (0,) * 600, 1)])))
+    assert main(["hilbert", "--scheme", str(path), "--t", "0"]) == 0
+    assert capsys.readouterr().out == "t:0 H:1\n"
+
+
+def test_hilbert_tmax_does_not_list_degrees_up_front(monkeypatch, double_point_file, capsys):
+    monkeypatch.setenv("FATPOINTS_COLUMN_CAP", "2")
+    tracemalloc.start()
+    try:
+        assert main(["hilbert", "--scheme", double_point_file, "--tmax", "2000000"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_resource_limit(capsys)
+    assert peak < 4 * 2**20
 
 
 def test_usage_errors_exit_one(capsys):

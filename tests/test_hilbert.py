@@ -17,7 +17,7 @@ from fatpoints.hilbert import (
 from fatpoints.exactlinalg import Matrix, binomial, rank
 from fatpoints.scheme import UnitIdeal, gen_random, make_scheme, multiplicity
 
-from oracles import naive_hilbert, single_point_hilbert
+from oracles import monomials, naive_conditions_rows, naive_hilbert, single_point_hilbert
 
 
 def _single(n, m, coords=None):
@@ -35,6 +35,8 @@ def test_monomial_basis_size_and_order():
     assert basis.exponents[-1] == (0, 0, 2)
     # descending lexicographic within the fixed degree
     assert list(basis.exponents) == sorted(basis.exponents, reverse=True)
+    for k, d in ((1, 0), (1, 5), (2, 0), (2, 7), (4, 0), (4, 3), (5, 4), (7, 2)):
+        assert list(monomial_basis(k, d).exponents) == sorted(monomials(k, d), reverse=True)
 
 
 def test_conditions_matrix_simple_point_line():
@@ -68,6 +70,38 @@ def test_conditions_matrix_shape():
     cm = conditions_matrix(_single(3, 60), 1)
     assert cm.matrix.rows == len(cm.row_index) == 5
     assert rank(cm.matrix) == 4
+
+
+def test_conditions_matrix_entries_match_oracle_on_fractional_points():
+    schemes = [
+        make_scheme(1, [((Fraction(2, 3), Fraction(-5, 7)), 3), ((0, 1), 2)]),
+        make_scheme(2, [((Fraction(3, 4), 0, Fraction(-1, 6)), 3), ((1, Fraction(2, 5), 3), 2)]),
+        make_scheme(3, [((0, Fraction(1, 3), Fraction(-7, 2), 0), 2), ((5, 0, 0, Fraction(1, 9)), 1)]),
+    ]
+    for z in schemes:
+        nvars = z.ambient_dim + 1
+        # the oracle lists rows by component, then order, then monomials()
+        labels = [
+            (ci, alpha)
+            for ci, m in enumerate(z.multiplicities)
+            for order in range(m)
+            for alpha in monomials(nvars, order)
+        ]
+        for t in range(5):
+            oracle_rows = naive_conditions_rows(z, t)
+            assert len(oracle_rows) == len(labels)
+            expected = {
+                label: dict(zip(monomials(nvars, t), row))
+                for label, row in zip(labels, oracle_rows)
+                if sum(label[1]) <= t
+            }
+            cm = conditions_matrix(z, t)
+            got = {
+                label: dict(zip(cm.basis.exponents, cm.matrix.row(k)))
+                for k, label in enumerate(cm.row_index)
+            }
+            assert len(got) == cm.matrix.rows
+            assert got == expected
 
 
 def test_conditions_matrix_nullspace_is_ideal():
@@ -240,6 +274,15 @@ def test_column_cap_enforced(monkeypatch):
     with pytest.raises(ResourceLimit):
         conditions_matrix(z, 3)
     assert hilbert_function(z, 1) == 1  # small degrees still fine
+
+
+def test_regularity_refused_before_any_elimination(monkeypatch):
+    # H(t) <= C(t+1, 1) = t + 1 < 1000 below t = 999, which needs 1000 columns
+    monkeypatch.setattr(hilbert_mod, "COLUMN_CAP", 50)
+    misses = hilbert_mod._rank_at_degree.cache_info().misses
+    with pytest.raises(ResourceLimit):
+        regularity_index(_single(1, 1000))
+    assert hilbert_mod._rank_at_degree.cache_info().misses == misses
 
 
 def test_unit_ideal_regularity_rejected():
