@@ -12,9 +12,10 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import hilbert as hilbert_mod
-from .errors import DegreeOutOfRange, FatpointsError, ResourceLimit
+from .errors import DegreeOutOfRange, FatpointsError, ResourceLimit, SchemeFormatError
 from .hilbert import hilbert_function, regularity_index
 from .scheme import (
     embed,
@@ -43,8 +44,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_scheme(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return scheme_from_json(handle.read())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemeFormatError(f"scheme file is not UTF-8: {exc}") from None
+    return scheme_from_json(text)
+
+
+def _int_text(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:
+        raise FatpointsError(
+            f"a {value.bit_length()}-bit result is over the integer-string limit"
+        ) from None
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -90,7 +103,7 @@ def _cmd_reg(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
-    print(f"e = {multiplicity(_load_scheme(args.scheme))}")
+    print(f"e = {_int_text(multiplicity(_load_scheme(args.scheme)))}")
     return 0
 
 
@@ -145,7 +158,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rnc_formula(args) -> int:
-    print(rnc_reg_formula(_parse_mults(args.mults), args.n))
+    print(_int_text(rnc_reg_formula(_parse_mults(args.mults), args.n)))
     return 0
 
 

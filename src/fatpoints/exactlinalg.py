@@ -7,11 +7,14 @@ module adds the small amount of linear algebra everything else needs: a
 dense immutable matrix, exact rank, deterministic nullspace bases, and the
 binomial coefficient convention used by every dimension formula.
 
-``rank`` and ``nullspace_basis`` share one elimination core: a
-fraction-free (Bareiss) forward pass over integer-rescaled sparse rows.
-The pivot is always the first remaining row with a nonzero entry in the
-scanned column, so echelon forms, and with them nullspace bases, are
-identical across runs and platforms.
+``rank`` and ``nullspace_basis`` share one elimination core over
+integer-rescaled sparse rows, with one row update: a row is combined with
+a pivot row to clear the pivot column and then divided by the gcd of its
+entries, so entries stay small and integral.  The forward pass and the
+back-substitution of ``nullspace_basis`` both use it.  The pivot is always
+the first remaining row with a nonzero entry in the scanned column, so
+echelon forms, and with them nullspace bases, are identical across runs
+and platforms.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def _sparse_int_rows(m: Matrix) -> list[dict[int, int]]:
     """Rescale each row by the lcm of its denominators; drop zero entries.
 
     Row scaling by a nonzero rational changes neither the rank nor the
-    kernel, and integer entries keep the fraction-free elimination exact.
+    kernel, and integer entries keep the elimination in integers.
     """
     out = []
     for i in range(m.rows):
@@ -103,18 +106,35 @@ def _sparse_int_rows(m: Matrix) -> list[dict[int, int]]:
     return out
 
 
+def _combine(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """``prow[col] * row - row[col] * prow``, divided by the gcd of its entries.
+
+    The result is zero in ``col`` and primitive.  Its only division is by
+    that gcd, so it is exact by construction.
+    """
+    a, b = prow[col], row[col]
+    new = {}
+    for c in row.keys() | prow.keys():
+        v = a * row.get(c, 0) - b * prow.get(c, 0)
+        if v:
+            new[c] = v
+    g = math.gcd(*new.values())
+    if g > 1:
+        new = {c: v // g for c, v in new.items()}
+    return new
+
+
 def _echelon(rows: Iterable[dict[int, int]], ncols: int):
-    """Fraction-free forward elimination on sparse integer rows.
+    """Forward elimination on sparse integer rows.
 
     Returns ``(echelon_rows, pivot_cols)`` where ``echelon_rows[k]`` has its
-    leading nonzero entry in column ``pivot_cols[k]``.  Each update divides
-    by the previous pivot; by Sylvester's determinant identity the division
-    is exact, which the divmod below also asserts.
+    leading nonzero entry in column ``pivot_cols[k]``.  The pivot row of
+    each column clears that column from every other active row through
+    :func:`_combine`; rows without an entry there are left as they are.
     """
-    active = [dict(r) for r in rows if r]
+    active = [r for r in rows if r]
     echelon: list[dict[int, int]] = []
     pivots: list[int] = []
-    prev = 1
     for col in range(ncols):
         if not active:
             break
@@ -122,36 +142,10 @@ def _echelon(rows: Iterable[dict[int, int]], ncols: int):
         if pidx is None:
             continue
         prow = active.pop(pidx)
-        piv = prow[col]
-        remaining: list[dict[int, int]] = []
-        for row in active:
-            f = row.pop(col, 0)
-            if f:
-                new = {}
-                for c in row.keys() | prow.keys():
-                    if c == col:
-                        continue
-                    v = piv * row.get(c, 0) - f * prow.get(c, 0)
-                    if v:
-                        q, r = divmod(v, prev)
-                        if r:
-                            raise ArithmeticError("fraction-free elimination lost exactness")
-                        new[c] = q
-                row = new
-            elif prev != piv:
-                scaled = {}
-                for c, v in row.items():
-                    q, r = divmod(piv * v, prev)
-                    if r:
-                        raise ArithmeticError("fraction-free elimination lost exactness")
-                    scaled[c] = q
-                row = scaled
-            if row:
-                remaining.append(row)
-        active = remaining
+        combined = (_combine(row, prow, col) if col in row else row for row in active)
+        active = [row for row in combined if row]
         echelon.append(prow)
         pivots.append(col)
-        prev = piv
     return echelon, pivots
 
 
@@ -161,7 +155,7 @@ def _rank_of_int_rows(rows: Iterable[dict[int, int]], ncols: int) -> int:
 
 
 def rank(m: Matrix) -> int:
-    """Rank of ``m`` over the rationals, by fraction-free elimination."""
+    """Rank of ``m`` over the rationals, by elimination on integer rows."""
     return _rank_of_int_rows(_sparse_int_rows(m), m.cols)
 
 
@@ -174,30 +168,14 @@ def nullspace_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     free column, and always has ``cols - rank(m)`` elements.  RREF is unique
     for a given row space, so the basis is canonical.
     """
-    echelon, pivots = _echelon(_sparse_int_rows(m), m.cols)
-    # back-substitute to the RREF over Q: pivot entries 1, pivot columns
-    # zero in every other row
-    red: list[dict[int, Fraction]] = [
-        {c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(echelon, pivots)
-    ]
+    red, pivots = _echelon(_sparse_int_rows(m), m.cols)
+    # back-substitute on integer rows until each pivot column is zero in
+    # every other row; the RREF entry of row r in column c is r[c] / r[p]
     for i in reversed(range(len(red))):
         pi = pivots[i]
-        ri = red[i]
         for j in range(i):
-            coef = red[j].get(pi)
-            if not coef:
-                continue
-            new = dict(red[j])
-            del new[pi]
-            for c, v in ri.items():
-                if c == pi:
-                    continue
-                nv = new.get(c, 0) - coef * v
-                if nv:
-                    new[c] = nv
-                elif c in new:
-                    del new[c]
-            red[j] = new
+            if pi in red[j]:
+                red[j] = _combine(red[j], red[i], pi)
     pivot_set = set(pivots)
     zero = Fraction(0)
     out = []
@@ -207,8 +185,7 @@ def nullspace_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
         vec = [zero] * m.cols
         vec[free] = Fraction(1)
         for r, p in zip(red, pivots):
-            coef = r.get(free)
-            if coef:
-                vec[p] = -coef
+            if free in r:
+                vec[p] = Fraction(-r[free], r[p])
         out.append(tuple(vec))
     return out

@@ -58,6 +58,8 @@ _RATIONAL_STRING = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def _to_fraction(value) -> Fraction:
+    if type(value) is Fraction:  # immutable, so shared rather than copied
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemeFormatError(f"coordinates must be exact rationals, got {value!r}")
     if isinstance(value, str):
@@ -332,7 +334,7 @@ def scheme_from_json_dict(doc: dict) -> FatPointScheme:
 def scheme_from_json(text: str) -> FatPointScheme:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or a number over the integer-string limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, over-long integer, deep nesting
         raise SchemeFormatError(f"invalid JSON: {exc}") from None
     return scheme_from_json_dict(doc)
 

@@ -471,7 +471,7 @@ def report_to_json(report: VerificationReport) -> str:
 def report_from_json(text: str) -> VerificationReport:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or a number over the integer-string limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, over-long integer, deep nesting
         raise SchemeFormatError(f"invalid JSON: {exc}") from None
     try:
         records = tuple(

@@ -1,9 +1,10 @@
 """Independent brute-force oracles the tests cross-check against.
 
 Everything here is deliberately written from scratch: textbook Gaussian
-elimination over Fractions for rank, a direct double loop for the
-vanishing-conditions matrix, and closed-form counts where they exist.
-None of it shares code with the package's fraction-free sparse kernel.
+elimination over Fractions for rank, Gauss-Jordan reduction over
+Fractions for kernels, a direct double loop for the vanishing-conditions
+matrix, and closed-form counts where they exist.  None of it shares code
+with the package's sparse integer elimination.
 """
 
 import itertools
@@ -38,6 +39,41 @@ def naive_rank(rows) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def naive_nullspace(rows, ncols: int):
+    """Kernel basis read off the reduced row echelon form (Gauss-Jordan).
+
+    Each pivot row is scaled to a leading 1 and then cleared from every
+    other row, above and below.  One vector per free column, in column
+    order: 1 at its free column, 0 at the others, and minus the RREF
+    entries of that column at the pivot columns.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        lead = m[r][col]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            factor = m[i][col]
+            if i != r and factor != 0:
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -m[i][free]
+        basis.append(tuple(vec))
+    return basis
 
 
 def monomials(num_vars: int, degree: int):

@@ -1,6 +1,7 @@
 import json
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -68,7 +69,7 @@ def test_embed_pipeline_matches_library(triple_point_file, tmp_path, capsys):
     out = tmp_path / "embedded.json"
     assert main(["embed", "--scheme", triple_point_file, "--target-dim", "3", "-o", str(out)]) == 0
     embedded = scheme_from_json(out.read_text())
-    source = scheme_from_json(open(triple_point_file).read())
+    source = scheme_from_json(Path(triple_point_file).read_text())
     assert embedded == embed(source, 3)
 
     # CLI hilbert on the embedded file equals library-level composition
@@ -211,15 +212,23 @@ def test_invalid_scheme_values_exit_one_without_traceback(tmp_path, capsys):
     zero_dim.write_text('{"ambient_dim": 0, "points": [{"coords": ["1"], "multiplicity": 1}]}')
     no_points = tmp_path / "no_points.json"
     no_points.write_text('{"ambient_dim": 2, "points": []}')
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff")
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000)
     for argv in (
         ["gen", "--n", "0", "--mults", "1", "--config", "generic", "--seed", "0"],
         ["reg", "--scheme", str(zero_dim)],
         ["reg", "--scheme", str(no_points)],
+        ["reg", "--scheme", str(undecodable)],
+        ["reg", "--scheme", str(nested)],
     ):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("fatpoints: error: ") and err.count("\n") == 1, argv
         assert "Traceback" not in err
+    with pytest.raises(SchemeFormatError):
+        report_from_json("[" * 200000)
 
 
 @pytest.mark.skipif(
@@ -234,14 +243,26 @@ def test_oversized_integers_exit_one(tmp_path, capsys):
         "coord.json": template % (1, big, 1),
         "mult.json": template % (1, 0, big),
     }
+    argvs = []
     for name, text in docs.items():
         path = tmp_path / name
         path.write_text(text)
-        for command in ("reg", "multiplicity"):
-            assert main([command, "--scheme", str(path)]) == 1, name
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("fatpoints: error: ") and captured.err.count("\n") == 1
+        argvs += [[command, "--scheme", str(path)] for command in ("reg", "multiplicity")]
+    # valid inputs whose printed result is over the limit: e of a point of
+    # P^3 has about three times the digits of its multiplicity
+    point = tmp_path / "point.json"
+    mult = int("9" * (sys.get_int_max_str_digits() // 2))
+    point.write_text(scheme_to_json(make_scheme(3, [((1, 0, 0, 0), mult)])))
+    at_limit = "9" * sys.get_int_max_str_digits()
+    argvs += [
+        ["multiplicity", "--scheme", str(point)],
+        ["rnc-formula", "--n", "1", "--mults", f"{at_limit},{at_limit}"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 1, argv[:2]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fatpoints: error: ") and captured.err.count("\n") == 1
     with pytest.raises(SchemeFormatError):
         report_from_json('{"check": "rnc", "records": [{"lhs": %s}]}' % big)
 

@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fatpoints.exactlinalg import Matrix, binomial, nullspace_basis, rank
+from fatpoints.exactlinalg import Matrix, _echelon, binomial, nullspace_basis, rank
+from fatpoints.hilbert import _conditions_int_rows, conditions_matrix
+from fatpoints.scheme import embed, gen_random, make_scheme
 
-from oracles import naive_rank
+from oracles import naive_nullspace, naive_rank
 
 
 def test_binomial_small_values():
@@ -164,3 +167,63 @@ def test_matrix_accessors():
     assert m.at(1, 0) == 3
     assert m.row(0) == (Fraction(1), Fraction(2))
     assert m.transpose().to_rows() == [[1, 3], [2, 4]]
+
+
+def _triple_point_schemes():
+    coordinate = make_scheme(
+        2, [((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3), ((1, 1, 1), 3), ((1, 2, -1), 3)]
+    )
+    return [coordinate, gen_random(2, 4, [3, 3, 3, 2], config="generic", seed=4)]
+
+
+def test_echelon_rows_are_primitive():
+    # every row update divides by the gcd of the entries, so no echelon row
+    # of a scheme or of its image keeps a common factor
+    for z in _triple_point_schemes():
+        for scheme in (z, embed(z, 4)):
+            for t in range(1, 7):
+                echelon, pivots = _echelon(*_conditions_int_rows(scheme, t))
+                assert len(echelon) == len(pivots) > 0
+                for row in echelon:
+                    assert math.gcd(*row.values()) == 1, (scheme.ambient_dim, t, row)
+
+
+def _random_rational_matrix(rng):
+    rows = rng.randint(0, 7)
+    cols = rng.randint(1, 8)
+
+    def entry():
+        roll = rng.random()
+        if roll < 0.4:
+            return 0
+        if roll < 0.75:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows and rng.random() < 0.3:
+        data[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.3:
+        zero_col = rng.randrange(cols)
+        for row in data:
+            row[zero_col] = 0
+    return Matrix.from_rows(data, cols=cols)
+
+
+def test_nullspace_matches_gauss_jordan_oracle():
+    rng = random.Random(12)
+    matrices = [_random_rational_matrix(rng) for _ in range(300)]
+    matrices += [
+        Matrix.from_rows([[0, 0, 0], [1, 2, 3], [0, 0, 0]]),
+        Matrix.from_rows([[0, 1, 0, 2], [0, 3, 0, 4]]),
+        Matrix(0, 3, ()),
+    ]
+    schemes = _triple_point_schemes() + [
+        gen_random(2, 3, [2, 2, 1], config="rnc", seed=3),
+        make_scheme(1, [((1, Fraction(1, 2)), 2), ((Fraction(2, 3), 1), 1)]),
+    ]
+    for z in schemes:
+        for scheme in (z, embed(z, z.ambient_dim + 1)):
+            matrices += [conditions_matrix(scheme, t).matrix for t in range(4)]
+    for m in matrices:
+        assert nullspace_basis(m) == naive_nullspace(m.to_rows(), m.cols)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,20 @@ def test_embed_identity_and_composition():
     z = make_scheme(2, [((1, 2, 3), 2), ((0, 1, -1), 1)])
     assert embed(z, 2) is z
     assert embed(embed(z, 3), 4) == embed(z, 4)
+
+
+def test_embed_shares_padding_zeros():
+    # coordinates are immutable Fractions, so padding a point reuses them
+    # instead of allocating one new zero per coordinate
+    z = make_scheme(2, [((1, 0, 0), 2), ((0, 1, 1), 1)])
+    tracemalloc.start()
+    try:
+        w = embed(z, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.ambient_dim == 200_000
+    assert peak < 12 * 2**20
 
 
 def test_embed_target_too_small():
