@@ -211,6 +211,11 @@ def ideal_dim(scheme: TruncatedScheme, t: int) -> int:
     return binomial(t + n, n) - hilbert_function(scheme, t)
 
 
+def _row_keys(rows) -> set[frozenset]:
+    """The nonempty sparse rows, as hashable keys."""
+    return {frozenset(row.items()) for row in rows if row}
+
+
 def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[int, int]:
     """Degree-t ranks ``(stacked, restricted)`` for restricting the image
     ``embed(scheme, target_dim)`` to the old variables.
@@ -220,20 +225,33 @@ def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[
     the image's H(t) exactly when substituting zeros for the new variables
     maps the image ideal into the source ideal.  ``restricted`` is the rank
     of the image's rows restricted to the old-variable columns.
+
+    Two facts, checked on this call's rows, let the rank memo answer:
+    (a) every lifted source row is literally an image row, so the stacked
+    rows span the image rows' space and ``stacked`` is the image's H(t);
+    (b) every restricted image row is empty or literally a source row, so,
+    with (a), the restricted rows are the source rows plus zero rows and
+    ``restricted`` is the source's H(t).  When both hold, both ranks come
+    from ``_rank_at_degree``; otherwise both are eliminated as defined.
     """
     _cap_check(target_dim, t)
     n = scheme.ambient_dim
-    image_rows, ncols = _conditions_int_rows(embed(scheme, target_dim), t)
+    image = embed(scheme, target_dim)
+    image_rows, ncols = _conditions_int_rows(image, t)
     source_rows, source_cols = _conditions_int_rows(scheme, t)
     index = _column_index(target_dim + 1, t)
     pad = (0,) * (target_dim - n)
     old_cols = [index[beta + pad] for beta in _exponent_tuples(n + 1, t)]
     lifted = [{old_cols[c]: v for c, v in row.items()} for row in source_rows]
-    stacked = _rank_of_int_rows(image_rows + lifted, ncols)
     position = {c: k for k, c in enumerate(old_cols)}
     restricted_rows = [
         {position[c]: v for c, v in row.items() if c in position} for row in image_rows
     ]
+    if _row_keys(lifted) <= _row_keys(image_rows) and (
+        _row_keys(restricted_rows) <= _row_keys(source_rows)
+    ):
+        return _rank_at_degree(image, t), _rank_at_degree(scheme, t)
+    stacked = _rank_of_int_rows(image_rows + lifted, ncols)
     return stacked, _rank_of_int_rows(restricted_rows, source_cols)
 
 

@@ -256,6 +256,8 @@ def gen_random(
     """
     if s != len(mults):
         raise SchemeFormatError(f"s = {s} but {len(mults)} multiplicities were given")
+    if not mults:
+        raise SchemeFormatError("a scheme needs at least one component")
     if config not in ("generic", "collinear", "rnc"):
         raise SchemeFormatError(f"unknown configuration {config!r}")
     if n < 1:

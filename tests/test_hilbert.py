@@ -14,10 +14,10 @@ from fatpoints.hilbert import (
     monomial_basis,
     regularity_index,
 )
-from fatpoints.exactlinalg import Matrix, binomial, rank
-from fatpoints.scheme import UnitIdeal, gen_random, make_scheme, multiplicity
+from fatpoints.exactlinalg import Matrix, _rank_of_int_rows, binomial, rank
+from fatpoints.scheme import UnitIdeal, embed, gen_random, make_scheme, multiplicity
 
-from oracles import monomials, naive_conditions_rows, naive_hilbert, single_point_hilbert
+from oracles import monomials, naive_conditions_rows, naive_hilbert, naive_rank, single_point_hilbert
 
 
 def _single(n, m, coords=None):
@@ -298,3 +298,97 @@ def test_safety_cap_flags_broken_hilbert_values(monkeypatch):
     monkeypatch.setattr(hilbert_mod, "_rank_at_degree", lambda scheme, t: 0)
     with pytest.raises(InternalBoundViolation):
         regularity_index(_single(2, 2))
+
+
+def _plain_restriction_rows(scheme, target_dim, t):
+    """The stacked and restricted rows of ``restriction_ranks``, built from
+    the current row builder with columns matched by exponent vector."""
+    n = scheme.ambient_dim
+    image_rows, ncols = hilbert_mod._conditions_int_rows(embed(scheme, target_dim), t)
+    source_rows, source_cols = hilbert_mod._conditions_int_rows(scheme, t)
+    column = {beta: k for k, beta in enumerate(monomial_basis(target_dim + 1, t).exponents)}
+    pad = (0,) * (target_dim - n)
+    old = [column[beta + pad] for beta in monomial_basis(n + 1, t).exponents]
+    stacked = image_rows + [{old[c]: v for c, v in row.items()} for row in source_rows]
+    restricted = [{old.index(c): v for c, v in row.items() if c in old} for row in image_rows]
+    return (stacked, ncols), (restricted, source_cols)
+
+
+def _counting_eliminations(mp):
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(len(rows))
+        return _rank_of_int_rows(rows, ncols)
+
+    mp.setattr(hilbert_mod, "_rank_of_int_rows", counted)
+    return calls
+
+
+def _dense(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def _change_first_entry(rows):
+    # the first image row is the lift of the first source row: breaks (a) and (b)
+    rows[0][min(rows[0])] += 1
+
+
+def _drop_first_row(rows):
+    # no image row is left for the first lifted source row: breaks (a) only
+    del rows[0]
+
+
+def _append_old_column_row(rows):
+    # a new image row whose restriction is no source row: breaks (b) only
+    rows.append({0: 1, 1: 10**9})
+
+
+@pytest.mark.parametrize("perturb", [_change_first_entry, _drop_first_row, _append_old_column_row])
+def test_restriction_fallback_when_certificate_fails(monkeypatch, perturb):
+    real_builder = hilbert_mod._conditions_int_rows
+
+    def builder(z, degree):
+        rows, ncols = real_builder(z, degree)
+        if z.ambient_dim == target_dim:
+            rows = [dict(row) for row in rows]
+            perturb(rows)
+        return rows, ncols
+
+    schemes = [
+        (make_scheme(1, [((1, 2), 2), ((1, -1), 1)]), 2),
+        (make_scheme(2, [((1, 2, -1), 2), ((0, 1, 3), 1)]), 4),
+        (gen_random(2, 3, [2, 1, 1], config="collinear", seed=5), 3),
+    ]
+    for scheme, target_dim in schemes:
+        for t in range(1, regularity_index(scheme) + 2):
+            # a warm memo holds the true ranks, so it can never answer here
+            for z in (scheme, embed(scheme, target_dim)):
+                hilbert_function(z, t)
+            with monkeypatch.context() as mp:
+                mp.setattr(hilbert_mod, "_conditions_int_rows", builder)
+                plain = _plain_restriction_rows(scheme, target_dim, t)
+                calls = _counting_eliminations(mp)
+                got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
+            assert len(calls) == 2
+            assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
+            if plain[0][1] <= 40:
+                assert list(got) == [naive_rank(_dense(rows, ncols)) for rows, ncols in plain]
+
+
+def test_restriction_certified_from_warm_memo(monkeypatch):
+    shapes = [(1, [2, 1, 1]), (2, [2, 2, 1]), (3, [2, 1, 1])]
+    for config in ("generic", "collinear", "rnc"):
+        for seed, (n, mults) in enumerate(shapes):
+            scheme = gen_random(n, len(mults), mults, config=config, seed=seed)
+            for target_dim in (n + 1, n + 2, n + 3):
+                image = embed(scheme, target_dim)
+                for t in range(regularity_index(scheme) + 2):
+                    plain = _plain_restriction_rows(scheme, target_dim, t)
+                    for z in (scheme, image):
+                        hilbert_function(z, t)
+                    with monkeypatch.context() as mp:
+                        calls = _counting_eliminations(mp)
+                        got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
+                    assert calls == []
+                    assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]

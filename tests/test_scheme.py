@@ -205,6 +205,12 @@ def test_gen_random_validates_arguments():
         gen_random(2, 1, [1], config="weird", seed=0)
 
 
+def test_gen_random_without_points_is_refused():
+    for config in ("generic", "collinear", "rnc"):
+        with pytest.raises(SchemeFormatError, match="a scheme needs at least one component"):
+            gen_random(2, 0, [], config=config, seed=0)
+
+
 def test_json_round_trip_exact():
     z = make_scheme(2, [((1, 0, Fraction(2, 3)), 2), ((0, 1, -4), 1)])
     assert scheme_from_json(scheme_to_json(z)) == z
