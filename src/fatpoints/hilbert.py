@@ -17,7 +17,16 @@ sparse integer row from the point's integer representative, the point
 times lead_i, the common denominator of its coordinates.  That scales row
 (i, alpha) by lead_i^(t - |alpha|), which changes neither rank nor kernel;
 ``conditions_matrix`` divides the factor out for its Fraction entries.
-Consequently
+
+Writing beta = alpha + delta, the entry is C(beta, delta) * c^delta for
+the integer representative c, and delta runs over the exponents of degree
+t - |alpha| on the point's nonzero coordinates.  The columns and the
+coefficients C(beta, delta) depend only on the number of variables, that
+support, |alpha| and t, so they come from a small cache of point-free
+tables (``_row_table``, bounded like an LRU cache); per point and order
+only the powers c^delta are computed, and each row is the coefficients
+times the powers.  The point's lead and integer representative are
+computed once per point.  Consequently
 
     H(t)          = rank(conditions matrix),
     dim (I_Z)_t   = C(t+n, n) - H(t),
@@ -37,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import add
+from operator import mul
 
 from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit
 from .exactlinalg import Matrix, binomial, _rank_of_int_rows
@@ -119,35 +128,57 @@ def monomial_basis(num_vars: int, degree: int) -> MonomialBasis:
     return MonomialBasis(num_vars, degree, _exponent_tuples(num_vars, degree))
 
 
+@lru_cache(maxsize=256)
+def _row_table(num_vars: int, support: tuple[int, ...], g: int, t: int):
+    """The point-free part of the degree-t rows of order g, for points whose
+    nonzero coordinates sit exactly at ``support``.
+
+    For each alpha of degree g, in graded-lex order, a pair ``(columns,
+    coefficients)`` with one entry per delta of degree t - g on the support,
+    the deltas in ``_exponent_tuples(len(support), t - g)`` order: the column
+    of beta = alpha + delta and prod_j C(beta_j, delta_j).
+    """
+    index = _column_index(num_vars, t)
+    deltas = _exponent_tuples(len(support), t - g)
+    table = []
+    for alpha in _exponent_tuples(num_vars, g):
+        columns, coefficients = [], []
+        for local in deltas:
+            beta = list(alpha)
+            coefficient = 1
+            for j, d in zip(support, local):
+                beta[j] += d
+                coefficient *= math.comb(beta[j], d)
+            columns.append(index[tuple(beta)])
+            coefficients.append(coefficient)
+        table.append((tuple(columns), tuple(coefficients)))
+    return tuple(table)
+
+
 def _labelled_rows(scheme: FatPointScheme, t: int):
     """Yield ``((component, alpha), scale, row)`` for every degree-t row, by
     component, then alpha in graded-lex order, |alpha| <= min(m_i - 1, t).
 
     With c the integer representative of P_i, row (i, alpha) has one entry
-    prod_j C(alpha_j + delta_j, delta_j) * c_j^delta_j in column alpha + delta
+    prod_j C(alpha_j + delta_j, delta_j) * c^delta in column alpha + delta
     for each delta of degree t - |alpha| on the nonzero coordinates of c.
-    It is the normalized point's row times scale = lead_i^(t - |alpha|).
+    Columns and coefficients come from the cached ``_row_table`` of the
+    point's support; only the powers c^delta are computed per point, once
+    per order.  The row is the normalized point's row times
+    scale = lead_i^(t - |alpha|).
     """
     nvars = scheme.ambient_dim + 1
-    index = _column_index(nvars, t)
     for ci, (point, mult) in enumerate(scheme.components):
-        lead = math.lcm(*(c.denominator for c in point.coords))
-        coords = tuple(int(c * lead) for c in point.coords)
-        support = [j for j, c in enumerate(coords) if c]
+        lead, support, values = point._integral
         for g in range(min(mult - 1, t) + 1):
-            deltas = []
-            for local in _exponent_tuples(len(support), t - g):
-                delta = [0] * nvars
-                for j, d in zip(support, local):
-                    delta[j] = d
-                deltas.append((tuple(delta), math.prod(map(pow, coords, delta))))
+            powers = [
+                math.prod(map(pow, values, local))
+                for local in _exponent_tuples(len(support), t - g)
+            ]
             scale = lead ** (t - g)
-            for alpha in _exponent_tuples(nvars, g):
-                row = {}
-                for delta, power in deltas:
-                    beta = tuple(map(add, alpha, delta))
-                    row[index[beta]] = power * math.prod(map(math.comb, beta, delta))
-                yield (ci, alpha), scale, row
+            alphas = _exponent_tuples(nvars, g)
+            for alpha, (columns, coefficients) in zip(alphas, _row_table(nvars, support, g, t)):
+                yield (ci, alpha), scale, dict(zip(columns, map(mul, coefficients, powers)))
 
 
 def _conditions_int_rows(scheme: FatPointScheme, t: int):

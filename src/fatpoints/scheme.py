@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -55,6 +57,7 @@ __all__ = [
 ]
 
 _RATIONAL_STRING = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_ZERO = Fraction(0)
 
 
 def _to_fraction(value) -> Fraction:
@@ -97,6 +100,43 @@ class ProjectivePoint:
     @property
     def ambient_dim(self) -> int:
         return len(self.coords) - 1
+
+    # The values below are computed once per point, on first use, and kept
+    # out of the dataclass fields: equality, repr and JSON never see them.
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # trailing zeros are left out, so a padded point hashes as its source
+        coords = self.coords
+        end = len(coords)
+        while not coords[end - 1]:
+            end -= 1
+        return hash(coords[:end])
+
+    @cached_property
+    def _integral(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """``(lead, support, values)``: the least common denominator of the
+        coordinates, the positions of the nonzero coordinates, and the
+        integer representative (the point times lead) at those positions."""
+        lead = math.lcm(*(c.denominator for c in self.coords))
+        support = tuple(j for j, c in enumerate(self.coords) if c)
+        values = tuple(
+            self.coords[j].numerator * (lead // self.coords[j].denominator) for j in support
+        )
+        return lead, support, values
+
+    def _padded(self, pad: tuple[Fraction, ...]) -> "ProjectivePoint":
+        """The point with the zero coordinates ``pad`` appended.  Padding
+        keeps the point normalized and changes neither its hash nor its
+        integer representative on the support, so the new point skips the
+        constructor's checks and starts with this point's cached values."""
+        image = object.__new__(ProjectivePoint)
+        object.__setattr__(image, "coords", self.coords + pad)
+        image.__dict__.update(_hash=self._hash, _integral=self._integral)
+        return image
 
 
 @dataclass(frozen=True)
@@ -183,8 +223,8 @@ def embed(scheme: FatPointScheme, target_dim: int) -> FatPointScheme:
         raise TargetTooSmall(f"target dimension {target_dim} is below ambient {n}")
     if target_dim == n:
         return scheme
-    pad = (Fraction(0),) * (target_dim - n)
-    comps = tuple((ProjectivePoint(p.coords + pad), m) for p, m in scheme.components)
+    pad = (_ZERO,) * (target_dim - n)
+    comps = tuple((p._padded(pad), m) for p, m in scheme.components)
     return FatPointScheme(target_dim, comps)
 
 

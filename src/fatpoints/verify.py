@@ -25,6 +25,7 @@ from .exactlinalg import binomial
 from .hilbert import hilbert_function, ideal_dim, regularity_index, restriction_ranks
 from .scheme import (
     FatPointScheme,
+    UnitIdeal,
     embed,
     multiplicity,
     scheme_fingerprint,
@@ -95,11 +96,26 @@ def _require_larger_target(scheme: FatPointScheme, target_dim: int) -> None:
         )
 
 
+def _refuse_image(scheme: FatPointScheme, target_dim: int, t: int) -> None:
+    """Raise now the error that the image's H(t) would raise, before
+    ``embed`` pads every point to target_dim + 1 coordinates.
+
+    Callers pass the degree of the image value that comes next in their
+    order of evaluation, after everything that can fail before it, so a
+    refused check raises the same first error as when it pads first.
+    """
+    if target_dim > scheme.ambient_dim:
+        hilbert_function(UnitIdeal(target_dim), t)  # the cap check alone: no rows
+
+
 def check_reg_invariance(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     """Regularity index before and after embedding, by two full rank scans."""
-    image = embed(scheme, target_dim)
+    if target_dim < scheme.ambient_dim:
+        embed(scheme, target_dim)  # refuses the target before anything else runs
     reg_source = regularity_index(scheme)
-    reg_image = regularity_index(image)
+    # the image's scan starts in degree 1 unless its multiplicity is 1
+    _refuse_image(scheme, target_dim, 1 if scheme.total_multiplicity() > 1 else 0)
+    reg_image = regularity_index(embed(scheme, target_dim))
     rec = CheckRecord(
         t=None,
         lhs=reg_source,
@@ -114,11 +130,17 @@ def check_stable_range(scheme: FatPointScheme, target_dim: int) -> VerificationR
     """In the stable range both Hilbert functions equal their multiplicity
     formulas, and the embedded one dominates, strictly unless all m_i = 1."""
     _require_larger_target(scheme, target_dim)
-    image = embed(scheme, target_dim)
     e_n = multiplicity(scheme)
-    e_m = multiplicity(image)
     all_simple = all(mi == 1 for mi in scheme.multiplicities)
     reg = regularity_index(scheme)
+    # the values come as H(reg), image H(reg), H(reg + 1), image H(reg + 1);
+    # H(reg) is known, and with reg = 0 H(1) comes before the first image
+    # value that can fail
+    if reg == 0:
+        hilbert_function(scheme, 1)
+    _refuse_image(scheme, target_dim, max(reg, 1))
+    image = embed(scheme, target_dim)
+    e_m = multiplicity(image)
     records = []
     for t in (reg, reg + 1):
         h_n = hilbert_function(scheme, t)
@@ -169,9 +191,11 @@ def transfer_rhs(scheme: FatPointScheme, target_dim: int, t: int) -> int:
 def check_transfer(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     """Embedded Hilbert value vs the transfer formula, for every t below reg."""
     _require_larger_target(scheme, target_dim)
+    reg = regularity_index(scheme)
+    _refuse_image(scheme, target_dim, 1 if reg >= 2 else 0)
     image = embed(scheme, target_dim)
     records = []
-    for t in range(regularity_index(scheme)):
+    for t in range(reg):
         lhs = hilbert_function(image, t)
         rhs = binomial(t + target_dim, target_dim) - _truncation_sum(scheme, target_dim, t)
         records.append(CheckRecord(t, lhs, rhs, lhs == rhs, "embedded H vs transfer formula"))
@@ -187,8 +211,9 @@ def check_cor46(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     the record there checks that boundary equality instead.
     """
     _require_larger_target(scheme, target_dim)
-    image = embed(scheme, target_dim)
     reg = regularity_index(scheme)
+    _refuse_image(scheme, target_dim, 1)
+    image = embed(scheme, target_dim)
     single_step = target_dim == scheme.ambient_dim + 1
     some_fat = any(mi >= 2 for mi in scheme.multiplicities)
     additive, dominance, strictness = [], [], []
@@ -214,9 +239,11 @@ def _dimension_identity_records(scheme, target_dim, shift):
     """Records for the ideal-dimension identity with new-variable coefficient
     C(m - n - 1 + shift + d, d); shift selects the variant."""
     _require_larger_target(scheme, target_dim)
+    reg = regularity_index(scheme)
+    _refuse_image(scheme, target_dim, 1 if reg >= 2 else 0)
     image = embed(scheme, target_dim)
     records = []
-    for t in range(regularity_index(scheme)):
+    for t in range(reg):
         lhs = ideal_dim(image, t)
         rhs = _truncation_sum(scheme, target_dim, t, shift)
         records.append(
@@ -289,6 +316,7 @@ def check_restriction(scheme: FatPointScheme, target_dim: int, t: int) -> Verifi
     """Degree-t restriction checks: ideal membership after substituting zeros,
     and the intersection-dimension identity."""
     _require_larger_target(scheme, target_dim)
+    _refuse_image(scheme, target_dim, t)
     return _report("restriction", scheme, target_dim, _restriction_records(scheme, target_dim, t))
 
 
@@ -299,6 +327,7 @@ def check_restriction_range(
     _require_larger_target(scheme, target_dim)
     if max_degree is None:
         max_degree = regularity_index(scheme) + 1
+    _refuse_image(scheme, target_dim, 1 if max_degree >= 1 else 0)
     records = []
     for t in range(max_degree + 1):
         records.extend(_restriction_records(scheme, target_dim, t))
@@ -368,10 +397,12 @@ def check_rnc(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
         raise NotOnRationalNormalCurve(
             "a point is off the rational normal curve; the formula does not apply"
         )
-    image = embed(scheme, target_dim)
+    if target_dim < scheme.ambient_dim:
+        embed(scheme, target_dim)  # refuses the target before anything else runs
     expected = rnc_reg_formula(scheme.multiplicities, scheme.ambient_dim)
     reg_source = regularity_index(scheme)
-    reg_image = regularity_index(image)
+    _refuse_image(scheme, target_dim, 1)  # two points: the image's scan starts in degree 1
+    reg_image = regularity_index(embed(scheme, target_dim))
     records = [
         CheckRecord(None, reg_source, expected, reg_source == expected, "reg vs formula"),
         CheckRecord(

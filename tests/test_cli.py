@@ -8,6 +8,7 @@ import pytest
 import fatpoints.verify as verify_mod
 from fatpoints.cli import main
 from fatpoints.errors import SchemeFormatError
+from fatpoints.exactlinalg import binomial
 from fatpoints.hilbert import hilbert_function, regularity_index
 from fatpoints.scheme import embed, make_scheme, scheme_from_json, scheme_to_json
 from fatpoints.verify import CheckRecord, VerificationReport, report_from_json
@@ -290,6 +291,78 @@ def test_oversized_work_exits_three_at_once(tmp_path, capsys):
     ):
         assert main(argv) == 3, argv
         _assert_resource_limit(capsys)
+
+
+def test_verify_refuses_a_huge_target_before_padding(tmp_path, capsys):
+    # (1:0:0) and (1:1:1) lie on the conic, so every check applies; reg is 2,
+    # and every check but lemma23 meets an image value over the cap, first in
+    # degree 1 (degree reg for stable), and fails before any point is padded
+    # to 2,000,001 coordinates
+    path = str(tmp_path / "conic.json")
+    Path(path).write_text(scheme_to_json(make_scheme(2, [((1, 0, 0), 2), ((1, 1, 1), 1)])))
+    first_degree = {"stable": 2}
+    for checks in (None, "reg", "stable", "transfer", "cor46", "prop44", "restriction", "rnc"):
+        t = first_degree.get(checks, 1)
+        argv = ["verify", "--scheme", path, "--target-dim", "2000000"]
+        argv += [] if checks is None else ["--checks", checks]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3, argv
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            f"fatpoints: resource limit: degree {t} in P^2000000 needs "
+            f"{binomial(t + 2_000_000, t)} monomial columns (cap 20000)\n"
+        )
+        assert peak < 4 * 2**20, (checks, peak)
+    assert main(["verify", "--scheme", path, "--target-dim", "2000000", "--checks", "lemma23"]) == 0
+    assert capsys.readouterr().out == "PASS               lemma23\n"
+
+
+def test_verify_one_simple_point_at_a_huge_target(tmp_path, capsys):
+    path = tmp_path / "simple.json"
+    path.write_text(scheme_to_json(make_scheme(2, [((1, 2, 3), 1)])))
+    assert main(["verify", "--scheme", str(path), "--target-dim", "2000000", "--checks", "reg"]) == 0
+    assert capsys.readouterr().out == "PASS               reg_invariance\n"
+
+
+def _outcome(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_refusal_before_padding_keeps_each_first_error(monkeypatch, tmp_path, capsys):
+    # with small caps and targets, padding first is cheap: the runs with and
+    # without the early refusal must end alike, for every check selection
+    schemes = {
+        "conic": make_scheme(2, [((1, 0, 0), 2), ((1, 1, 1), 1)]),
+        "simple": make_scheme(2, [((1, 2, 3), 1)]),
+        "double": make_scheme(2, [((1, 2, 3), 2)]),
+        "line": make_scheme(1, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)]),
+    }
+    selections = [None, "reg", "stable", "transfer", "cor46", "prop44", "restriction", "rnc"]
+    real = verify_mod._refuse_image
+    codes = set()
+    for name, scheme in schemes.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(scheme_to_json(scheme))
+        n = scheme.ambient_dim
+        for cap in ("2", "3", "9"):
+            monkeypatch.setenv("FATPOINTS_COLUMN_CAP", cap)
+            for target in (n - 1, n, n + 1, n + 4):
+                for checks in selections:
+                    argv = ["verify", "--scheme", str(path), "--target-dim", str(target)]
+                    argv += ["--prop44-diagnostic"]
+                    argv += [] if checks is None else ["--checks", checks]
+                    monkeypatch.setattr(verify_mod, "_refuse_image", real)
+                    refused = _outcome(argv, capsys)
+                    monkeypatch.setattr(verify_mod, "_refuse_image", lambda *args: None)
+                    padded = _outcome(argv, capsys)
+                    assert refused == padded, argv
+                    codes.add(refused[0])
+    assert codes == {0, 1, 3}
 
 
 def test_hilbert_degree_zero_in_high_dimension(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,16 @@ from fatpoints.hilbert import (
     regularity_index,
 )
 from fatpoints.exactlinalg import Matrix, _rank_of_int_rows, binomial, rank
-from fatpoints.scheme import UnitIdeal, embed, gen_random, make_scheme, multiplicity
+from fatpoints.scheme import (
+    UnitIdeal,
+    embed,
+    gen_random,
+    make_scheme,
+    multiplicity,
+    scheme_from_json,
+    scheme_to_json,
+    truncate,
+)
 
 from oracles import monomials, naive_conditions_rows, naive_hilbert, naive_rank, single_point_hilbert
 
@@ -72,6 +82,34 @@ def test_conditions_matrix_shape():
     assert rank(cm.matrix) == 4
 
 
+def _assert_matches_oracle(z, degrees):
+    """``conditions_matrix`` of z equals the entry-by-entry oracle, row by
+    labelled row, in every given degree."""
+    nvars = z.ambient_dim + 1
+    # the oracle lists rows by component, then order, then monomials()
+    labels = [
+        (ci, alpha)
+        for ci, m in enumerate(z.multiplicities)
+        for order in range(m)
+        for alpha in monomials(nvars, order)
+    ]
+    for t in degrees:
+        oracle_rows = naive_conditions_rows(z, t)
+        assert len(oracle_rows) == len(labels)
+        expected = {
+            label: dict(zip(monomials(nvars, t), row))
+            for label, row in zip(labels, oracle_rows)
+            if sum(label[1]) <= t
+        }
+        cm = conditions_matrix(z, t)
+        got = {
+            label: dict(zip(cm.basis.exponents, cm.matrix.row(k)))
+            for k, label in enumerate(cm.row_index)
+        }
+        assert len(got) == cm.matrix.rows
+        assert got == expected
+
+
 def test_conditions_matrix_entries_match_oracle_on_fractional_points():
     schemes = [
         make_scheme(1, [((Fraction(2, 3), Fraction(-5, 7)), 3), ((0, 1), 2)]),
@@ -79,29 +117,67 @@ def test_conditions_matrix_entries_match_oracle_on_fractional_points():
         make_scheme(3, [((0, Fraction(1, 3), Fraction(-7, 2), 0), 2), ((5, 0, 0, Fraction(1, 9)), 1)]),
     ]
     for z in schemes:
-        nvars = z.ambient_dim + 1
-        # the oracle lists rows by component, then order, then monomials()
-        labels = [
-            (ci, alpha)
-            for ci, m in enumerate(z.multiplicities)
-            for order in range(m)
-            for alpha in monomials(nvars, order)
-        ]
-        for t in range(5):
-            oracle_rows = naive_conditions_rows(z, t)
-            assert len(oracle_rows) == len(labels)
-            expected = {
-                label: dict(zip(monomials(nvars, t), row))
-                for label, row in zip(labels, oracle_rows)
-                if sum(label[1]) <= t
-            }
-            cm = conditions_matrix(z, t)
-            got = {
-                label: dict(zip(cm.basis.exponents, cm.matrix.row(k)))
-                for k, label in enumerate(cm.row_index)
-            }
-            assert len(got) == cm.matrix.rows
-            assert got == expected
+        _assert_matches_oracle(z, range(5))
+
+
+def _support_pattern_schemes():
+    """For P^2 and P^3, one point per support pattern (every nonempty set of
+    nonzero coordinates, so (0:0:1) and (1:1:0) among them), with
+    fractional coordinates and multiplicities 1 to top in turn; top is 3
+    in P^3 only to keep the oracle's dense rows small."""
+    rng = random.Random(7)
+    schemes = []
+    for n, top in ((2, 4), (3, 3)):
+        components = []
+        for pattern in range(1, 2 ** (n + 1)):
+            coords = tuple(
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                if pattern >> j & 1
+                else 0
+                for j in range(n + 1)
+            )
+            components.append((coords, pattern % top + 1))
+        schemes.append(make_scheme(n, components))
+    return schemes
+
+
+def test_row_tables_match_oracle_on_every_support_pattern():
+    supports = set()
+    for z in _support_pattern_schemes():
+        supports |= {tuple(bool(c) for c in p.coords) for p in z.points}
+        _assert_matches_oracle(z, range(6))
+        _assert_matches_oracle(embed(z, z.ambient_dim + 1), range(5))
+    assert (False, False, True) in supports and (True, True, False) in supports
+    assert len(supports) == 7 + 15
+
+
+def _rows_and_ranks(schemes, degrees):
+    out = []
+    for z in schemes:
+        for t in degrees:
+            rows, ncols = _conditions_int_rows(z, t)
+            out.append((rows, _rank_of_int_rows(rows, ncols)))
+    return out
+
+
+def test_rows_do_not_depend_on_the_table_cache(monkeypatch):
+    schemes = _support_pattern_schemes()
+    schemes += [embed(z, z.ambient_dim + 2) for z in schemes]
+    degrees = range(5)
+    expected = _rows_and_ranks(schemes, degrees)
+    # cleared before every build
+    cleared = []
+    for z in schemes:
+        for t in degrees:
+            hilbert_mod._row_table.cache_clear()
+            cleared += _rows_and_ranks([z], [t])
+    assert cleared == expected
+    # holding a single table
+    single = functools.lru_cache(maxsize=1)(hilbert_mod._row_table.__wrapped__)
+    monkeypatch.setattr(hilbert_mod, "_row_table", single)
+    assert _rows_and_ranks(schemes, degrees) == expected
+    assert single.cache_info().currsize == 1
+    assert single.cache_info().misses > 1
 
 
 def test_conditions_matrix_nullspace_is_ideal():
@@ -392,3 +468,33 @@ def test_restriction_certified_from_warm_memo(monkeypatch):
                         got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
                     assert calls == []
                     assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
+
+
+def _memo_counts():
+    info = hilbert_mod._rank_at_degree.cache_info()
+    return info.hits, info.misses
+
+
+def test_equal_points_from_different_inputs_share_memo_entries():
+    a = make_scheme(1, [((2, 4), 2), ((3, 0), 1)])
+    b = make_scheme(1, [((1, 2), 2), ((1, 0), 1)])
+    assert a.points[0] == b.points[0] and hash(a.points[0]) == hash(b.points[0])
+    assert a == b and hash(a) == hash(b)
+    values = [hilbert_function(a, t) for t in range(4)]
+    hits, misses = _memo_counts()
+    assert [hilbert_function(b, t) for t in range(4)] == values
+    assert _memo_counts() == (hits + 4, misses)
+
+
+def test_round_tripped_and_truncated_schemes_hit_the_memo():
+    z = gen_random(2, 3, [3, 2, 1], config="generic", seed=4)
+    image = embed(z, 4)
+    degrees = range(regularity_index(z) + 2)
+    family = [z, truncate(z, 1), truncate(z, 2), image, truncate(image, 1)]
+    values = [hilbert_function(w, t) for w in family for t in degrees]
+    hits, misses = _memo_counts()
+    copy = scheme_from_json(scheme_to_json(z))
+    image_copy = scheme_from_json(scheme_to_json(image))
+    again = [copy, truncate(copy, 1), truncate(copy, 2), embed(copy, 4), truncate(image_copy, 1)]
+    assert [hilbert_function(w, t) for w in again for t in degrees] == values
+    assert _memo_counts() == (hits + len(values), misses)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from fractions import Fraction
@@ -106,6 +107,35 @@ def test_embed_shares_padding_zeros():
         tracemalloc.stop()
     assert w.ambient_dim == 200_000
     assert peak < 12 * 2**20
+
+
+def test_padded_points_equal_constructed_points():
+    z = make_scheme(2, [((3, 0, Fraction(1, 2)), 2), ((0, Fraction(2, 3), 1), 1)])
+    w = embed(z, 5)
+    for padded, source in zip(w.points, z.points):
+        built = ProjectivePoint(source.coords + (0, 0, 0))
+        assert padded == built and hash(padded) == hash(built)
+        # embed hands the source's cached values on; they match a fresh computation
+        assert padded._integral == built._integral == source._integral
+    assert w == scheme_from_json(scheme_to_json(w))
+
+
+def test_cached_point_values_stay_out_of_json_fingerprint_and_equality():
+    raw = [((2, 0, Fraction(2, 3)), 2), ((0, 1, -4), 1)]
+    z, fresh = make_scheme(2, raw), make_scheme(2, raw)
+    text, fingerprint, shown = scheme_to_json(z), scheme_fingerprint(z), repr(z)
+    for p in z.points:
+        hash(p)
+        p._integral
+    embed(z, 4)
+    assert "_integral" in vars(z.points[0]) and "_hash" in vars(z.points[0])
+    assert "_integral" not in vars(fresh.points[0])
+    assert scheme_to_json(z) == text
+    assert scheme_fingerprint(z) == fingerprint
+    assert repr(z) == shown
+    assert z == fresh and hash(z) == hash(fresh)
+    assert [f.name for f in dataclasses.fields(ProjectivePoint)] == ["coords"]
+    assert dataclasses.asdict(z) == dataclasses.asdict(fresh)
 
 
 def test_embed_target_too_small():
