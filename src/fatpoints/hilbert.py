@@ -18,21 +18,27 @@ times lead_i, the common denominator of its coordinates.  That scales row
 (i, alpha) by lead_i^(t - |alpha|), which changes neither rank nor kernel;
 ``conditions_matrix`` divides the factor out for its Fraction entries.
 
-Writing beta = alpha + delta, the entry is C(beta, delta) * c^delta for
-the integer representative c, and delta runs over the exponents of degree
-t - |alpha| on the point's nonzero coordinates.  The columns and the
-coefficients C(beta, delta) depend only on the number of variables, that
-support, |alpha| and t, so they come from a small cache of point-free
-tables (``_row_table``, bounded like an LRU cache); per point and order
-only the powers c^delta are computed, and each row is the coefficients
-times the powers.  The point's lead and integer representative are
-computed once per point.  Consequently
+Inside this module a monomial is the tuple of (variable, exponent) pairs
+of its nonzero exponents, X_0^2 X_3 as ((0, 2), (3, 1)), so its size is
+bounded by its degree as well as by the number of variables; exponent
+vectors appear only in ``monomial_basis`` and the ``conditions_matrix``
+labels.  Writing beta = alpha + delta, the entry is C(beta, delta) *
+c^delta for the integer representative c, and delta runs over the
+monomials of degree t - |alpha| in the point's nonzero coordinates.  The
+columns and the coefficients C(beta, delta) depend only on the number of
+variables, that support, |alpha| and t, so they come from a small cache of
+point-free tables (``_row_table``, bounded like an LRU cache); per point
+and order only the powers c^delta are computed, and each row is the
+coefficients times the powers.  The point's lead and integer
+representative are computed once per point.  Consequently
 
     H(t)          = rank(conditions matrix),
     dim (I_Z)_t   = C(t+n, n) - H(t),
 
 and the regularity index is the first t where H(t) reaches the
-multiplicity of the scheme.
+multiplicity of the scheme.  The points of embed(Z, m) are Z's padded with
+zeros, so given ``target_dim`` m the functions below answer for embed(Z, m)
+from Z's points in m + 1 variables: no point is padded.
 
 Monomials of a fixed degree are listed in graded-lexicographic order with
 X_0 > X_1 > ... > X_n, i.e. exponent vectors in descending lexicographic
@@ -45,12 +51,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from operator import mul
 
 from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit
 from .exactlinalg import Matrix, binomial, _rank_of_int_rows
-from .scheme import FatPointScheme, TruncatedScheme, UnitIdeal, embed, multiplicity
+from .scheme import FatPointScheme, TruncatedScheme, UnitIdeal, _image_dim, multiplicity
 
 __all__ = [
     "COLUMN_CAP",
@@ -104,28 +109,42 @@ class HilbertTable:
     multiplicity: int
 
 
-@lru_cache(maxsize=None)
-def _exponent_tuples(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent vectors of one degree in descending lexicographic order, by
-    stars and bars: ascending bar positions give ascending vectors."""
-    slots = degree + num_vars - 1
-    out = []
-    for bars in combinations(range(slots), num_vars - 1):
-        edges = (-1,) + bars + (slots,)
-        out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
-    return tuple(reversed(out))
+def _pairs(first: int, num_vars: int, degree: int):
+    """Degree-``degree`` monomials in the variables first, ..., num_vars - 1,
+    in graded-lex order; every call yields, so work follows the output."""
+    if degree == 0:
+        yield ()
+        return
+    for j in range(first, num_vars - 1):
+        for e in range(degree, 0, -1):
+            head = ((j, e),)  # one pair object, shared by every monomial it starts
+            for rest in _pairs(j + 1, num_vars, degree - e):
+                yield head + rest
+    yield ((num_vars - 1, degree),)
 
 
 @lru_cache(maxsize=None)
-def _column_index(num_vars: int, degree: int) -> dict[tuple[int, ...], int]:
-    return {beta: k for k, beta in enumerate(_exponent_tuples(num_vars, degree))}
+def _monomials(num_vars: int, degree: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Degree-``degree`` monomials in ``num_vars`` variables, graded-lex order."""
+    return tuple(_pairs(0, num_vars, degree))
+
+
+@lru_cache(maxsize=None)
+def _column_index(num_vars: int, degree: int) -> dict[tuple, int]:
+    return {beta: k for k, beta in enumerate(_monomials(num_vars, degree))}
+
+
+def _exponent_vector(monomial: tuple, num_vars: int) -> tuple[int, ...]:
+    exponents = dict(monomial)
+    return tuple(exponents.get(j, 0) for j in range(num_vars))
 
 
 def monomial_basis(num_vars: int, degree: int) -> MonomialBasis:
     """Degree-``degree`` monomials in ``num_vars`` variables, graded-lex order."""
     if num_vars < 1 or degree < 0:
         raise ValueError("need at least one variable and a nonnegative degree")
-    return MonomialBasis(num_vars, degree, _exponent_tuples(num_vars, degree))
+    exponents = tuple(_exponent_vector(m, num_vars) for m in _monomials(num_vars, degree))
+    return MonomialBasis(num_vars, degree, exponents)
 
 
 @lru_cache(maxsize=256)
@@ -135,29 +154,31 @@ def _row_table(num_vars: int, support: tuple[int, ...], g: int, t: int):
 
     For each alpha of degree g, in graded-lex order, a pair ``(columns,
     coefficients)`` with one entry per delta of degree t - g on the support,
-    the deltas in ``_exponent_tuples(len(support), t - g)`` order: the column
-    of beta = alpha + delta and prod_j C(beta_j, delta_j).
+    the deltas in ``_monomials(len(support), t - g)`` order: the column of
+    beta = alpha + delta and prod_j C(beta_j, delta_j).
     """
     index = _column_index(num_vars, t)
-    deltas = _exponent_tuples(len(support), t - g)
+    deltas = [[(support[k], d) for k, d in local] for local in _monomials(len(support), t - g)]
     table = []
-    for alpha in _exponent_tuples(num_vars, g):
+    for alpha in _monomials(num_vars, g):
         columns, coefficients = [], []
-        for local in deltas:
-            beta = list(alpha)
+        base = dict(alpha)
+        for delta in deltas:
+            beta = base.copy()
             coefficient = 1
-            for j, d in zip(support, local):
-                beta[j] += d
-                coefficient *= math.comb(beta[j], d)
-            columns.append(index[tuple(beta)])
+            for j, d in delta:
+                beta[j] = b = beta.get(j, 0) + d
+                coefficient *= math.comb(b, d)
+            columns.append(index[tuple(sorted(beta.items()))])
             coefficients.append(coefficient)
         table.append((tuple(columns), tuple(coefficients)))
     return tuple(table)
 
 
-def _labelled_rows(scheme: FatPointScheme, t: int):
-    """Yield ``((component, alpha), scale, row)`` for every degree-t row, by
-    component, then alpha in graded-lex order, |alpha| <= min(m_i - 1, t).
+def _labelled_rows(scheme: FatPointScheme, dim: int, t: int):
+    """Yield ``((component, alpha), scale, row)`` for every degree-t row of
+    the scheme's points in P^dim, by component, then alpha in graded-lex
+    order, |alpha| <= min(m_i - 1, t).
 
     With c the integer representative of P_i, row (i, alpha) has one entry
     prod_j C(alpha_j + delta_j, delta_j) * c^delta in column alpha + delta
@@ -167,24 +188,25 @@ def _labelled_rows(scheme: FatPointScheme, t: int):
     per order.  The row is the normalized point's row times
     scale = lead_i^(t - |alpha|).
     """
-    nvars = scheme.ambient_dim + 1
+    nvars = dim + 1
     for ci, (point, mult) in enumerate(scheme.components):
         lead, support, values = point._integral
         for g in range(min(mult - 1, t) + 1):
             powers = [
-                math.prod(map(pow, values, local))
-                for local in _exponent_tuples(len(support), t - g)
+                math.prod([values[k] ** d for k, d in local])
+                for local in _monomials(len(support), t - g)
             ]
             scale = lead ** (t - g)
-            alphas = _exponent_tuples(nvars, g)
+            alphas = _monomials(nvars, g)
             for alpha, (columns, coefficients) in zip(alphas, _row_table(nvars, support, g, t)):
                 yield (ci, alpha), scale, dict(zip(columns, map(mul, coefficients, powers)))
 
 
-def _conditions_int_rows(scheme: FatPointScheme, t: int):
-    """Sparse integer rows of the degree-t conditions matrix, and its width."""
-    rows = [row for _, _, row in _labelled_rows(scheme, t)]
-    return rows, binomial(t + scheme.ambient_dim, scheme.ambient_dim)
+def _conditions_int_rows(scheme: FatPointScheme, dim: int, t: int):
+    """Sparse integer rows of the degree-t conditions matrix of the scheme's
+    points in P^dim, and its width."""
+    rows = [row for _, _, row in _labelled_rows(scheme, dim, t)]
+    return rows, binomial(t + dim, dim)
 
 
 def _cap_check(ambient_dim: int, t: int) -> None:
@@ -212,34 +234,37 @@ def conditions_matrix(scheme: FatPointScheme, t: int) -> ConditionsMatrix:
     zero = Fraction(0)
     dense_rows = []
     labels = []
-    for label, scale, row in _labelled_rows(scheme, t):
+    for (ci, alpha), scale, row in _labelled_rows(scheme, scheme.ambient_dim, t):
         dense = [zero] * len(basis.exponents)
         for c, v in row.items():
             dense[c] = Fraction(v, scale)
         dense_rows.append(dense)
-        labels.append(label)
+        labels.append((ci, _exponent_vector(alpha, basis.num_vars)))
     matrix = Matrix.from_rows(dense_rows, cols=len(basis.exponents))
     return ConditionsMatrix(matrix, tuple(labels), basis)
 
 
 @lru_cache(maxsize=None)
-def _rank_at_degree(scheme: FatPointScheme, t: int) -> int:
-    rows, ncols = _conditions_int_rows(scheme, t)
+def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> int:
+    rows, ncols = _conditions_int_rows(scheme, dim, t)
     return _rank_of_int_rows(rows, ncols)
 
 
-def hilbert_function(scheme: TruncatedScheme, t: int) -> int:
-    """H(t): independent conditions the scheme imposes on degree-t forms."""
-    _cap_check(scheme.ambient_dim, t)
+def hilbert_function(scheme: TruncatedScheme, t: int, target_dim: int | None = None) -> int:
+    """H(t): independent conditions the scheme, or its image
+    ``embed(scheme, target_dim)``, imposes on degree-t forms."""
+    dim = _image_dim(scheme, target_dim)
+    _cap_check(dim, t)
     if isinstance(scheme, UnitIdeal):
         return 0
-    return _rank_at_degree(scheme, t)
+    return _rank_at_degree(scheme, dim, t)
 
 
-def ideal_dim(scheme: TruncatedScheme, t: int) -> int:
-    """Dimension of the degree-t part of the defining ideal."""
-    n = scheme.ambient_dim
-    return binomial(t + n, n) - hilbert_function(scheme, t)
+def ideal_dim(scheme: TruncatedScheme, t: int, target_dim: int | None = None) -> int:
+    """Dimension of the degree-t part of the defining ideal of the scheme,
+    or of its image ``embed(scheme, target_dim)``."""
+    dim = _image_dim(scheme, target_dim)
+    return binomial(t + dim, dim) - hilbert_function(scheme, t, target_dim)
 
 
 def _row_keys(rows) -> set[frozenset]:
@@ -265,14 +290,13 @@ def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[
     ``restricted`` is the source's H(t).  When both hold, both ranks come
     from ``_rank_at_degree``; otherwise both are eliminated as defined.
     """
-    _cap_check(target_dim, t)
+    _cap_check(_image_dim(scheme, target_dim), t)
     n = scheme.ambient_dim
-    image = embed(scheme, target_dim)
-    image_rows, ncols = _conditions_int_rows(image, t)
-    source_rows, source_cols = _conditions_int_rows(scheme, t)
+    image_rows, ncols = _conditions_int_rows(scheme, target_dim, t)
+    source_rows, source_cols = _conditions_int_rows(scheme, n, t)
+    # a monomial in X_0..X_n is also one in X_0..X_m
     index = _column_index(target_dim + 1, t)
-    pad = (0,) * (target_dim - n)
-    old_cols = [index[beta + pad] for beta in _exponent_tuples(n + 1, t)]
+    old_cols = [index[beta] for beta in _monomials(n + 1, t)]
     lifted = [{old_cols[c]: v for c, v in row.items()} for row in source_rows]
     position = {c: k for k, c in enumerate(old_cols)}
     restricted_rows = [
@@ -281,13 +305,14 @@ def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[
     if _row_keys(lifted) <= _row_keys(image_rows) and (
         _row_keys(restricted_rows) <= _row_keys(source_rows)
     ):
-        return _rank_at_degree(image, t), _rank_at_degree(scheme, t)
+        return _rank_at_degree(scheme, target_dim, t), _rank_at_degree(scheme, n, t)
     stacked = _rank_of_int_rows(image_rows + lifted, ncols)
     return stacked, _rank_of_int_rows(restricted_rows, source_cols)
 
 
-def regularity_index(scheme: FatPointScheme) -> int:
-    """Least t with H(t) equal to the multiplicity, by ascending scan.
+def regularity_index(scheme: FatPointScheme, target_dim: int | None = None) -> int:
+    """Least t with H(t) equal to the multiplicity, by ascending scan, for
+    the scheme or its image ``embed(scheme, target_dim)``.
 
     Since H(t) <= C(t+n, n), the scan starts at the least t where C(t+n, n)
     reaches the multiplicity or exceeds the column cap; such a first degree
@@ -298,14 +323,14 @@ def regularity_index(scheme: FatPointScheme) -> int:
     """
     if isinstance(scheme, UnitIdeal):
         raise ValueError("the regularity index needs a nonempty scheme")
-    target = multiplicity(scheme)
-    n = scheme.ambient_dim
+    dim = _image_dim(scheme, target_dim)
+    target = multiplicity(scheme, dim)
     low = 0
-    while binomial(low + n, n) < min(target, COLUMN_CAP + 1):
+    while binomial(low + dim, dim) < min(target, COLUMN_CAP + 1):
         low += 1
     bound = scheme.total_multiplicity() - 1
     for t in range(low, bound + 1):
-        if hilbert_function(scheme, t) == target:
+        if hilbert_function(scheme, t, dim) == target:
             return t
     raise InternalBoundViolation(
         f"H(t) did not reach {target} for any t <= {bound}"

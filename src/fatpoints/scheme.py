@@ -205,9 +205,19 @@ def make_scheme(ambient_dim: int, raw_components: Iterable[tuple[Sequence, int]]
     return FatPointScheme(ambient_dim, tuple(components))
 
 
-def multiplicity(scheme: FatPointScheme) -> int:
-    """Multiplicity e of the coordinate ring: sum of C(m_i + n - 1, n)."""
+def _image_dim(scheme: TruncatedScheme, target_dim: int | None) -> int:
+    """The ambient dimension of ``embed(scheme, target_dim)``, the scheme's
+    own for None.  A target below the scheme's is refused."""
     n = scheme.ambient_dim
+    if target_dim is not None and target_dim < n:
+        raise TargetTooSmall(f"target dimension {target_dim} is below ambient {n}")
+    return n if target_dim is None else target_dim
+
+
+def multiplicity(scheme: FatPointScheme, target_dim: int | None = None) -> int:
+    """Multiplicity e of the coordinate ring: sum of C(m_i + n - 1, n), for
+    the scheme or, with n = target_dim, its image ``embed(scheme, target_dim)``."""
+    n = _image_dim(scheme, target_dim)
     return sum(binomial(m + n - 1, n) for m in scheme.multiplicities)
 
 
@@ -219,9 +229,7 @@ def embed(scheme: FatPointScheme, target_dim: int) -> FatPointScheme:
     points stay normalized and pairwise distinct.
     """
     n = scheme.ambient_dim
-    if target_dim < n:
-        raise TargetTooSmall(f"target dimension {target_dim} is below ambient {n}")
-    if target_dim == n:
+    if _image_dim(scheme, target_dim) == n:
         return scheme
     pad = (_ZERO,) * (target_dim - n)
     comps = tuple((p._padded(pad), m) for p, m in scheme.components)

@@ -3,9 +3,12 @@ its image under the coordinate-padding embedding.
 
 Every check recomputes both sides of an identity independently; the
 embedded side is always an honest rank computation on the embedded
-conditions matrix, never the identity being tested.  Reports carry the
-integer values of both sides, so a failing run is a self-contained
-counterexample certificate.
+conditions matrix, never the identity being tested.  The checks never pad
+a point: they ask the Hilbert layer about the image by passing
+``target_dim``, and it builds the image's rows from the source points, so
+a value over the column cap is refused where it is evaluated.  Reports
+carry the integer values of both sides, so a failing run is a
+self-contained counterexample certificate.
 """
 
 from __future__ import annotations
@@ -23,14 +26,7 @@ from .errors import (
 )
 from .exactlinalg import binomial
 from .hilbert import hilbert_function, ideal_dim, regularity_index, restriction_ranks
-from .scheme import (
-    FatPointScheme,
-    UnitIdeal,
-    embed,
-    multiplicity,
-    scheme_fingerprint,
-    truncate,
-)
+from .scheme import FatPointScheme, multiplicity, scheme_fingerprint, truncate
 
 __all__ = [
     "CheckRecord",
@@ -89,33 +85,20 @@ def _report(check, scheme, target_dim, records, note="") -> VerificationReport:
     )
 
 
-def _require_larger_target(scheme: FatPointScheme, target_dim: int) -> None:
-    if target_dim <= scheme.ambient_dim:
-        raise TargetTooSmall(
-            f"target dimension {target_dim} must exceed ambient {scheme.ambient_dim}"
-        )
-
-
-def _refuse_image(scheme: FatPointScheme, target_dim: int, t: int) -> None:
-    """Raise now the error that the image's H(t) would raise, before
-    ``embed`` pads every point to target_dim + 1 coordinates.
-
-    Callers pass the degree of the image value that comes next in their
-    order of evaluation, after everything that can fail before it, so a
-    refused check raises the same first error as when it pads first.
-    """
-    if target_dim > scheme.ambient_dim:
-        hilbert_function(UnitIdeal(target_dim), t)  # the cap check alone: no rows
+def _require_target(scheme: FatPointScheme, target_dim: int, larger: bool = True) -> None:
+    """Refuse a target below the ambient dimension, or equal to it if larger."""
+    n = scheme.ambient_dim
+    if larger and target_dim <= n:
+        raise TargetTooSmall(f"target dimension {target_dim} must exceed ambient {n}")
+    if target_dim < n:
+        raise TargetTooSmall(f"target dimension {target_dim} is below ambient {n}")
 
 
 def check_reg_invariance(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     """Regularity index before and after embedding, by two full rank scans."""
-    if target_dim < scheme.ambient_dim:
-        embed(scheme, target_dim)  # refuses the target before anything else runs
+    _require_target(scheme, target_dim, larger=False)
     reg_source = regularity_index(scheme)
-    # the image's scan starts in degree 1 unless its multiplicity is 1
-    _refuse_image(scheme, target_dim, 1 if scheme.total_multiplicity() > 1 else 0)
-    reg_image = regularity_index(embed(scheme, target_dim))
+    reg_image = regularity_index(scheme, target_dim)
     rec = CheckRecord(
         t=None,
         lhs=reg_source,
@@ -129,22 +112,15 @@ def check_reg_invariance(scheme: FatPointScheme, target_dim: int) -> Verificatio
 def check_stable_range(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     """In the stable range both Hilbert functions equal their multiplicity
     formulas, and the embedded one dominates, strictly unless all m_i = 1."""
-    _require_larger_target(scheme, target_dim)
+    _require_target(scheme, target_dim)
     e_n = multiplicity(scheme)
     all_simple = all(mi == 1 for mi in scheme.multiplicities)
     reg = regularity_index(scheme)
-    # the values come as H(reg), image H(reg), H(reg + 1), image H(reg + 1);
-    # H(reg) is known, and with reg = 0 H(1) comes before the first image
-    # value that can fail
-    if reg == 0:
-        hilbert_function(scheme, 1)
-    _refuse_image(scheme, target_dim, max(reg, 1))
-    image = embed(scheme, target_dim)
-    e_m = multiplicity(image)
+    e_m = multiplicity(scheme, target_dim)
     records = []
     for t in (reg, reg + 1):
         h_n = hilbert_function(scheme, t)
-        h_m = hilbert_function(image, t)
+        h_m = hilbert_function(scheme, t, target_dim)
         records.append(
             CheckRecord(t, h_m, e_m, h_m == e_m, "embedded H equals its multiplicity")
         )
@@ -181,7 +157,7 @@ def transfer_rhs(scheme: FatPointScheme, target_dim: int, t: int) -> int:
     multiplicities lowered by k (zero for the unit ideal).  Defined for
     0 <= t < reg only.
     """
-    _require_larger_target(scheme, target_dim)
+    _require_target(scheme, target_dim)
     reg = regularity_index(scheme)
     if t < 0 or t >= reg:
         raise DegreeOutOfRange(f"transfer formula needs 0 <= t < reg = {reg}, got {t}")
@@ -190,13 +166,11 @@ def transfer_rhs(scheme: FatPointScheme, target_dim: int, t: int) -> int:
 
 def check_transfer(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     """Embedded Hilbert value vs the transfer formula, for every t below reg."""
-    _require_larger_target(scheme, target_dim)
+    _require_target(scheme, target_dim)
     reg = regularity_index(scheme)
-    _refuse_image(scheme, target_dim, 1 if reg >= 2 else 0)
-    image = embed(scheme, target_dim)
     records = []
     for t in range(reg):
-        lhs = hilbert_function(image, t)
+        lhs = hilbert_function(scheme, t, target_dim)
         rhs = binomial(t + target_dim, target_dim) - _truncation_sum(scheme, target_dim, t)
         records.append(CheckRecord(t, lhs, rhs, lhs == rhs, "embedded H vs transfer formula"))
     note = "" if records else "no degrees below the regularity index"
@@ -210,15 +184,13 @@ def check_cor46(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     Strictness is asserted for t >= 1 only: at t = 0 both sides are 1, so
     the record there checks that boundary equality instead.
     """
-    _require_larger_target(scheme, target_dim)
+    _require_target(scheme, target_dim)
     reg = regularity_index(scheme)
-    _refuse_image(scheme, target_dim, 1)
-    image = embed(scheme, target_dim)
     single_step = target_dim == scheme.ambient_dim + 1
     some_fat = any(mi >= 2 for mi in scheme.multiplicities)
     additive, dominance, strictness = [], [], []
     for t in range(reg + 2):
-        h_m = hilbert_function(image, t)
+        h_m = hilbert_function(scheme, t, target_dim)
         h_n = hilbert_function(scheme, t)
         if single_step and t < reg:
             rhs = h_n + sum(hilbert_function(truncate(scheme, t - i), i) for i in range(t))
@@ -238,13 +210,11 @@ def check_cor46(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
 def _dimension_identity_records(scheme, target_dim, shift):
     """Records for the ideal-dimension identity with new-variable coefficient
     C(m - n - 1 + shift + d, d); shift selects the variant."""
-    _require_larger_target(scheme, target_dim)
+    _require_target(scheme, target_dim)
     reg = regularity_index(scheme)
-    _refuse_image(scheme, target_dim, 1 if reg >= 2 else 0)
-    image = embed(scheme, target_dim)
     records = []
     for t in range(reg):
-        lhs = ideal_dim(image, t)
+        lhs = ideal_dim(scheme, t, target_dim)
         rhs = _truncation_sum(scheme, target_dim, t, shift)
         records.append(
             CheckRecord(t, lhs, rhs, lhs == rhs, "embedded ideal dimension vs sum")
@@ -290,7 +260,7 @@ def _restriction_records(scheme: FatPointScheme, target_dim: int, t: int) -> lis
     of exactly the source ideal's dimension.
     """
     n, m = scheme.ambient_dim, target_dim
-    image_dim = ideal_dim(embed(scheme, m), t)
+    image_dim = ideal_dim(scheme, t, m)
     stacked, restricted = restriction_ranks(scheme, m, t)
     kept = binomial(t + m, m) - stacked
     inter_dim = binomial(t + n, n) - restricted
@@ -315,8 +285,7 @@ def _restriction_records(scheme: FatPointScheme, target_dim: int, t: int) -> lis
 def check_restriction(scheme: FatPointScheme, target_dim: int, t: int) -> VerificationReport:
     """Degree-t restriction checks: ideal membership after substituting zeros,
     and the intersection-dimension identity."""
-    _require_larger_target(scheme, target_dim)
-    _refuse_image(scheme, target_dim, t)
+    _require_target(scheme, target_dim)
     return _report("restriction", scheme, target_dim, _restriction_records(scheme, target_dim, t))
 
 
@@ -324,10 +293,9 @@ def check_restriction_range(
     scheme: FatPointScheme, target_dim: int, max_degree: int | None = None
 ) -> VerificationReport:
     """Restriction checks for every degree up to reg + 1 (or max_degree)."""
-    _require_larger_target(scheme, target_dim)
+    _require_target(scheme, target_dim)
     if max_degree is None:
         max_degree = regularity_index(scheme) + 1
-    _refuse_image(scheme, target_dim, 1 if max_degree >= 1 else 0)
     records = []
     for t in range(max_degree + 1):
         records.extend(_restriction_records(scheme, target_dim, t))
@@ -397,12 +365,10 @@ def check_rnc(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
         raise NotOnRationalNormalCurve(
             "a point is off the rational normal curve; the formula does not apply"
         )
-    if target_dim < scheme.ambient_dim:
-        embed(scheme, target_dim)  # refuses the target before anything else runs
+    _require_target(scheme, target_dim, larger=False)
     expected = rnc_reg_formula(scheme.multiplicities, scheme.ambient_dim)
     reg_source = regularity_index(scheme)
-    _refuse_image(scheme, target_dim, 1)  # two points: the image's scan starts in degree 1
-    reg_image = regularity_index(embed(scheme, target_dim))
+    reg_image = regularity_index(scheme, target_dim)
     records = [
         CheckRecord(None, reg_source, expected, reg_source == expected, "reg vs formula"),
         CheckRecord(

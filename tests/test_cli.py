@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import tracemalloc
@@ -296,8 +297,8 @@ def test_oversized_work_exits_three_at_once(tmp_path, capsys):
 def test_verify_refuses_a_huge_target_before_padding(tmp_path, capsys):
     # (1:0:0) and (1:1:1) lie on the conic, so every check applies; reg is 2,
     # and every check but lemma23 meets an image value over the cap, first in
-    # degree 1 (degree reg for stable), and fails before any point is padded
-    # to 2,000,001 coordinates
+    # degree 1 (degree reg for stable), and is refused there: no point is
+    # padded to 2,000,001 coordinates
     path = str(tmp_path / "conic.json")
     Path(path).write_text(scheme_to_json(make_scheme(2, [((1, 0, 0), 2), ((1, 1, 1), 1)])))
     first_degree = {"stable": 2}
@@ -321,10 +322,20 @@ def test_verify_refuses_a_huge_target_before_padding(tmp_path, capsys):
 
 
 def test_verify_one_simple_point_at_a_huge_target(tmp_path, capsys):
+    # the image's scan ends in degree 0, with one column and one row: the
+    # memory does not grow with the target
     path = tmp_path / "simple.json"
     path.write_text(scheme_to_json(make_scheme(2, [((1, 2, 3), 1)])))
-    assert main(["verify", "--scheme", str(path), "--target-dim", "2000000", "--checks", "reg"]) == 0
-    assert capsys.readouterr().out == "PASS               reg_invariance\n"
+    for target in (2_000_000, 10**8):
+        argv = ["verify", "--scheme", str(path), "--target-dim", str(target), "--checks", "reg"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == "PASS               reg_invariance\n"
+        assert peak < 4 * 2**20, (target, peak)
 
 
 def _outcome(argv, capsys):
@@ -333,17 +344,24 @@ def _outcome(argv, capsys):
     return code, captured.out, captured.err
 
 
-def test_refusal_before_padding_keeps_each_first_error(monkeypatch, tmp_path, capsys):
-    # with small caps and targets, padding first is cheap: the runs with and
-    # without the early refusal must end alike, for every check selection
+# sha256 over (exit code, stdout, stderr) of every run of the grid below,
+# recorded from the implementation that padded each point before the checks
+# ran and refused each check's next image value by hand
+VERIFY_GRID_DIGEST = "5f2ed85e4d7b03d5a6dcfecc26120c9423abc4a552f65ba4eb9585e8cdfb4403"
+
+
+def test_verify_outcomes_match_the_recorded_grid(monkeypatch, tmp_path, capsys):
+    # small caps and targets around the ambient dimension: every first
+    # error, refusal and report is pinned, for every check selection
     schemes = {
         "conic": make_scheme(2, [((1, 0, 0), 2), ((1, 1, 1), 1)]),
         "simple": make_scheme(2, [((1, 2, 3), 1)]),
         "double": make_scheme(2, [((1, 2, 3), 2)]),
         "line": make_scheme(1, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)]),
     }
-    selections = [None, "reg", "stable", "transfer", "cor46", "prop44", "restriction", "rnc"]
-    real = verify_mod._refuse_image
+    selections = [None, "reg", "stable", "transfer", "cor46", "prop44", "restriction"]
+    selections += ["lemma23", "rnc"]
+    digest = hashlib.sha256()
     codes = set()
     for name, scheme in schemes.items():
         path = tmp_path / f"{name}.json"
@@ -351,18 +369,16 @@ def test_refusal_before_padding_keeps_each_first_error(monkeypatch, tmp_path, ca
         n = scheme.ambient_dim
         for cap in ("2", "3", "9"):
             monkeypatch.setenv("FATPOINTS_COLUMN_CAP", cap)
-            for target in (n - 1, n, n + 1, n + 4):
+            for target in range(n - 1, n + 5):
                 for checks in selections:
                     argv = ["verify", "--scheme", str(path), "--target-dim", str(target)]
                     argv += ["--prop44-diagnostic"]
                     argv += [] if checks is None else ["--checks", checks]
-                    monkeypatch.setattr(verify_mod, "_refuse_image", real)
-                    refused = _outcome(argv, capsys)
-                    monkeypatch.setattr(verify_mod, "_refuse_image", lambda *args: None)
-                    padded = _outcome(argv, capsys)
-                    assert refused == padded, argv
-                    codes.add(refused[0])
+                    code, out, err = _outcome(argv, capsys)
+                    digest.update(f"{code}\0{out}\0{err}\0".encode())
+                    codes.add(code)
     assert codes == {0, 1, 3}
+    assert digest.hexdigest() == VERIFY_GRID_DIGEST
 
 
 def test_hilbert_degree_zero_in_high_dimension(tmp_path, capsys):

@@ -182,7 +182,7 @@ def test_echelon_rows_are_primitive():
     for z in _triple_point_schemes():
         for scheme in (z, embed(z, 4)):
             for t in range(1, 7):
-                echelon, pivots = _echelon(*_conditions_int_rows(scheme, t))
+                echelon, pivots = _echelon(*_conditions_int_rows(scheme, scheme.ambient_dim, t))
                 assert len(echelon) == len(pivots) > 0
                 for row in echelon:
                     assert math.gcd(*row.values()) == 1, (scheme.ambient_dim, t, row)

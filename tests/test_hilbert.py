@@ -1,11 +1,12 @@
 import functools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import fatpoints.hilbert as hilbert_mod
-from fatpoints.errors import DegreeOutOfRange, ResourceLimit
+from fatpoints.errors import DegreeOutOfRange, ResourceLimit, TargetTooSmall
 from fatpoints.hilbert import (
     _conditions_int_rows,
     conditions_matrix,
@@ -155,7 +156,7 @@ def _rows_and_ranks(schemes, degrees):
     out = []
     for z in schemes:
         for t in degrees:
-            rows, ncols = _conditions_int_rows(z, t)
+            rows, ncols = _conditions_int_rows(z, z.ambient_dim, t)
             out.append((rows, _rank_of_int_rows(rows, ncols)))
     return out
 
@@ -241,7 +242,7 @@ def test_single_fat_point_closed_form():
                 assert hilbert_function(z, t) == single_point_hilbert(n, m, t)
     # a 60-fold point: rows with |alpha| > t are empty and never built
     z = _single(3, 60)
-    assert len(_conditions_int_rows(z, 1)[0]) == 5
+    assert len(_conditions_int_rows(z, 3, 1)[0]) == 5
     for t in range(3):
         assert hilbert_function(z, t) == binomial(t + 3, 3)
 
@@ -371,7 +372,7 @@ def test_safety_cap_flags_broken_hilbert_values(monkeypatch):
 
     # a Hilbert function that never reaches the multiplicity must trip the
     # scan bound instead of looping
-    monkeypatch.setattr(hilbert_mod, "_rank_at_degree", lambda scheme, t: 0)
+    monkeypatch.setattr(hilbert_mod, "_rank_at_degree", lambda scheme, dim, t: 0)
     with pytest.raises(InternalBoundViolation):
         regularity_index(_single(2, 2))
 
@@ -380,8 +381,9 @@ def _plain_restriction_rows(scheme, target_dim, t):
     """The stacked and restricted rows of ``restriction_ranks``, built from
     the current row builder with columns matched by exponent vector."""
     n = scheme.ambient_dim
-    image_rows, ncols = hilbert_mod._conditions_int_rows(embed(scheme, target_dim), t)
-    source_rows, source_cols = hilbert_mod._conditions_int_rows(scheme, t)
+    image = embed(scheme, target_dim)
+    image_rows, ncols = hilbert_mod._conditions_int_rows(image, target_dim, t)
+    source_rows, source_cols = hilbert_mod._conditions_int_rows(scheme, n, t)
     column = {beta: k for k, beta in enumerate(monomial_basis(target_dim + 1, t).exponents)}
     pad = (0,) * (target_dim - n)
     old = [column[beta + pad] for beta in monomial_basis(n + 1, t).exponents]
@@ -424,9 +426,9 @@ def _append_old_column_row(rows):
 def test_restriction_fallback_when_certificate_fails(monkeypatch, perturb):
     real_builder = hilbert_mod._conditions_int_rows
 
-    def builder(z, degree):
-        rows, ncols = real_builder(z, degree)
-        if z.ambient_dim == target_dim:
+    def builder(z, dim, degree):
+        rows, ncols = real_builder(z, dim, degree)
+        if dim == target_dim:
             rows = [dict(row) for row in rows]
             perturb(rows)
         return rows, ncols
@@ -439,8 +441,8 @@ def test_restriction_fallback_when_certificate_fails(monkeypatch, perturb):
     for scheme, target_dim in schemes:
         for t in range(1, regularity_index(scheme) + 2):
             # a warm memo holds the true ranks, so it can never answer here
-            for z in (scheme, embed(scheme, target_dim)):
-                hilbert_function(z, t)
+            for dim in (None, target_dim):
+                hilbert_function(scheme, t, dim)
             with monkeypatch.context() as mp:
                 mp.setattr(hilbert_mod, "_conditions_int_rows", builder)
                 plain = _plain_restriction_rows(scheme, target_dim, t)
@@ -458,11 +460,12 @@ def test_restriction_certified_from_warm_memo(monkeypatch):
         for seed, (n, mults) in enumerate(shapes):
             scheme = gen_random(n, len(mults), mults, config=config, seed=seed)
             for target_dim in (n + 1, n + 2, n + 3):
-                image = embed(scheme, target_dim)
                 for t in range(regularity_index(scheme) + 2):
                     plain = _plain_restriction_rows(scheme, target_dim, t)
-                    for z in (scheme, image):
-                        hilbert_function(z, t)
+                    # the certificate answers from the memo entries of
+                    # H(t) and of the image's H(t), asked for by target_dim
+                    for dim in (None, target_dim):
+                        hilbert_function(scheme, t, dim)
                     with monkeypatch.context() as mp:
                         calls = _counting_eliminations(mp)
                         got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
@@ -498,3 +501,55 @@ def test_round_tripped_and_truncated_schemes_hit_the_memo():
     again = [copy, truncate(copy, 1), truncate(copy, 2), embed(copy, 4), truncate(image_copy, 1)]
     assert [hilbert_function(w, t) for w in again for t in degrees] == values
     assert _memo_counts() == (hits + len(values), misses)
+
+
+def test_own_dimension_as_target_hits_the_plain_memo_entry():
+    z = gen_random(2, 3, [2, 1, 1], config="generic", seed=11)
+    values = [hilbert_function(z, t) for t in range(4)]
+    hits, misses = _memo_counts()
+    assert [hilbert_function(z, t, 2) for t in range(4)] == values
+    assert _memo_counts() == (hits + 4, misses)
+
+
+def test_target_dim_answers_for_the_embedded_scheme():
+    shapes = [(1, [2, 1, 1]), (2, [2, 2, 1]), (3, [2, 1, 1])]
+    for config in ("generic", "collinear", "rnc"):
+        for seed, (n, mults) in enumerate(shapes):
+            z = gen_random(n, len(mults), mults, config=config, seed=seed + 20)
+            for m in range(n, n + 4):
+                image = embed(z, m)
+                reg = regularity_index(image)
+                assert regularity_index(z, m) == reg
+                assert multiplicity(z, m) == multiplicity(image)
+                for t in range(reg + 2):
+                    assert hilbert_function(z, t, m) == hilbert_function(image, t)
+                    assert ideal_dim(z, t, m) == ideal_dim(image, t)
+
+
+def test_target_below_the_scheme_is_refused_like_embed():
+    z = _single(2, 2)
+    with pytest.raises(TargetTooSmall) as expected:
+        embed(z, 1)
+    calls = [
+        lambda: hilbert_function(z, 1, 1),
+        lambda: ideal_dim(z, 1, 1),
+        lambda: regularity_index(z, 1),
+        lambda: multiplicity(z, 1),
+    ]
+    for call in calls:
+        with pytest.raises(TargetTooSmall) as got:
+            call()
+        assert str(got.value) == str(expected.value)
+
+
+def test_embedded_rows_take_memory_by_columns_not_variables():
+    # degree 1 in P^4999 has 5,000 columns; a monomial of degree 1 is one
+    # index, where an exponent vector would have 5,000 entries
+    z = _single(2, 2, (1, 2, 3))
+    tracemalloc.start()
+    try:
+        assert hilbert_function(embed(z, 4999), 1) == 5000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
