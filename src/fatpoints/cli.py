@@ -107,14 +107,25 @@ def _cmd_multiplicity(args) -> int:
     return 0
 
 
+def _refuse_coordinates(dim: int) -> None:
+    # each coordinate of P^dim is a column of the degree-1 conditions matrix
+    cap = hilbert_mod.COLUMN_CAP
+    if dim + 1 > cap:
+        raise ResourceLimit(f"degree 1 in P^{dim} needs {dim + 1} monomial columns (cap {cap})")
+
+
 def _cmd_embed(args) -> int:
-    image = embed(_load_scheme(args.scheme), args.target_dim)
+    scheme = _load_scheme(args.scheme)
+    if args.target_dim >= scheme.ambient_dim:  # a smaller target is embed's TargetTooSmall
+        _refuse_coordinates(args.target_dim)
+    image = embed(scheme, args.target_dim)
     _write_output(scheme_to_json(image), args.output)
     return 0
 
 
 def _cmd_gen(args) -> int:
     mults = _parse_mults(args.mults)
+    _refuse_coordinates(args.n)
     scheme = gen_random(args.n, len(mults), mults, config=args.config, seed=args.seed)
     _write_output(scheme_to_json(scheme), args.output)
     return 0

@@ -11,10 +11,11 @@ binomial coefficient convention used by every dimension formula.
 integer-rescaled sparse rows, with one row update: a row is combined with
 a pivot row to clear the pivot column and then divided by the gcd of its
 entries, so entries stay small and integral.  The forward pass and the
-back-substitution of ``nullspace_basis`` both use it.  The pivot is always
-the first remaining row with a nonzero entry in the scanned column, so
-echelon forms, and with them nullspace bases, are identical across runs
-and platforms.
+back-substitution of ``nullspace_basis`` both use it.  The forward pass
+reduces each row, in input order, by the pivot row of its least column
+until it vanishes or becomes a new pivot row, so echelon forms, and with
+them nullspace bases, depend only on the row order and are identical
+across runs and platforms.
 """
 
 from __future__ import annotations
@@ -125,28 +126,24 @@ def _combine(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, i
 
 
 def _echelon(rows: Iterable[dict[int, int]], ncols: int):
-    """Forward elimination on sparse integer rows.
+    """Forward elimination on sparse integer rows, by leading-column insertion.
 
-    Returns ``(echelon_rows, pivot_cols)`` where ``echelon_rows[k]`` has its
-    leading nonzero entry in column ``pivot_cols[k]``.  The pivot row of
-    each column clears that column from every other active row through
-    :func:`_combine`; rows without an entry there are left as they are.
+    Returns ``(echelon_rows, pivot_cols)`` with ``pivot_cols`` increasing and
+    ``echelon_rows[k]`` having its least column at ``pivot_cols[k]``.  Each
+    row, in input order, is combined through :func:`_combine` with the pivot
+    row of its least column until it vanishes or becomes that column's pivot
+    row.  Reading stops once all ``ncols`` columns have a pivot.
     """
-    active = [r for r in rows if r]
-    echelon: list[dict[int, int]] = []
-    pivots: list[int] = []
-    for col in range(ncols):
-        if not active:
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if len(pivot_rows) == ncols:
             break
-        pidx = next((k for k, row in enumerate(active) if col in row), None)
-        if pidx is None:
-            continue
-        prow = active.pop(pidx)
-        combined = (_combine(row, prow, col) if col in row else row for row in active)
-        active = [row for row in combined if row]
-        echelon.append(prow)
-        pivots.append(col)
-    return echelon, pivots
+        while row and (col := min(row)) in pivot_rows:
+            row = _combine(row, pivot_rows[col], col)
+        if row:
+            pivot_rows[col] = row
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[col] for col in pivots], pivots
 
 
 def _rank_of_int_rows(rows: Iterable[dict[int, int]], ncols: int) -> int:

@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateParameter,
     DuplicatePoint,
+    FatpointsError,
     NonpositiveMultiplicity,
     SchemeFormatError,
     TargetTooSmall,
@@ -101,20 +102,16 @@ class ProjectivePoint:
     def ambient_dim(self) -> int:
         return len(self.coords) - 1
 
-    # The values below are computed once per point, on first use, and kept
-    # out of the dataclass fields: equality, repr and JSON never see them.
+    # The hash and the integer representative are computed once per point,
+    # on first use, for the row builder's hot path, and kept out of the
+    # dataclass fields: equality, repr and JSON never see them.
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        # trailing zeros are left out, so a padded point hashes as its source
-        coords = self.coords
-        end = len(coords)
-        while not coords[end - 1]:
-            end -= 1
-        return hash(coords[:end])
+        return hash(self.coords)
 
     @cached_property
     def _integral(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -127,16 +124,6 @@ class ProjectivePoint:
             self.coords[j].numerator * (lead // self.coords[j].denominator) for j in support
         )
         return lead, support, values
-
-    def _padded(self, pad: tuple[Fraction, ...]) -> "ProjectivePoint":
-        """The point with the zero coordinates ``pad`` appended.  Padding
-        keeps the point normalized and changes neither its hash nor its
-        integer representative on the support, so the new point skips the
-        constructor's checks and starts with this point's cached values."""
-        image = object.__new__(ProjectivePoint)
-        object.__setattr__(image, "coords", self.coords + pad)
-        image.__dict__.update(_hash=self._hash, _integral=self._integral)
-        return image
 
 
 @dataclass(frozen=True)
@@ -232,7 +219,7 @@ def embed(scheme: FatPointScheme, target_dim: int) -> FatPointScheme:
     if _image_dim(scheme, target_dim) == n:
         return scheme
     pad = (_ZERO,) * (target_dim - n)
-    comps = tuple((p._padded(pad), m) for p, m in scheme.components)
+    comps = tuple((ProjectivePoint(p.coords + pad), m) for p, m in scheme.components)
     return FatPointScheme(target_dim, comps)
 
 
@@ -338,7 +325,11 @@ def gen_random(
 
 
 def _fraction_str(value: Fraction) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # over the interpreter's integer-string limit
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        raise FatpointsError(f"a {bits}-bit coordinate is over the integer-string limit") from None
 
 
 def scheme_to_json_dict(scheme: FatPointScheme) -> dict:

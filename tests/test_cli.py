@@ -269,6 +269,17 @@ def test_oversized_integers_exit_one(tmp_path, capsys):
         report_from_json('{"check": "rnc", "records": [{"lhs": %s}]}' % big)
 
 
+def test_generated_coordinate_over_the_string_limit_exits_one(capsys):
+    # rnc coordinates s^(n-j) t^j of P^6500 have denominators of thousands
+    # of digits once the point is normalized
+    argv = ["gen", "--n", "6500", "--mults", "1,1", "--config", "rnc", "--seed", "0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fatpoints: error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def _assert_resource_limit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -336,6 +347,48 @@ def test_verify_one_simple_point_at_a_huge_target(tmp_path, capsys):
             tracemalloc.stop()
         assert capsys.readouterr().out == "PASS               reg_invariance\n"
         assert peak < 4 * 2**20, (target, peak)
+
+
+def test_embed_and_gen_refuse_more_coordinates_than_columns(tmp_path, capsys):
+    # a point of P^M has M + 1 coordinates, one per degree-1 column: both
+    # commands are refused before any coordinate is built
+    path = tmp_path / "simple.json"
+    path.write_text(scheme_to_json(make_scheme(2, [((1, 2, 3), 1)])))
+    for argv in (
+        ["embed", "--scheme", str(path), "--target-dim", "200000000"],
+        ["gen", "--n", "200000000", "--mults", "1", "--config", "generic", "--seed", "0"],
+    ):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3, argv
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            "fatpoints: resource limit: degree 1 in P^200000000 needs 200000001 "
+            "monomial columns (cap 20000)\n"
+        )
+        assert peak < 4 * 2**20, (argv[0], peak)
+
+
+def test_embed_and_gen_accept_as_many_coordinates_as_columns(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "simple.json"
+    path.write_text(scheme_to_json(make_scheme(2, [((1, 2, 3), 1)])))
+    monkeypatch.setenv("FATPOINTS_COLUMN_CAP", "6")
+    embed_argv = ["embed", "--scheme", str(path), "--target-dim"]
+    gen_argv = ["--mults", "1,2", "--config", "rnc", "--seed", "3"]
+    assert main(embed_argv + ["5"]) == 0
+    assert scheme_from_json(capsys.readouterr().out).ambient_dim == 5
+    assert main(["gen", "--n", "5"] + gen_argv) == 0
+    assert scheme_from_json(capsys.readouterr().out).ambient_dim == 5
+    assert main(embed_argv + ["6"]) == 3
+    _assert_resource_limit(capsys)
+    assert main(["gen", "--n", "6"] + gen_argv) == 3
+    _assert_resource_limit(capsys)
+    # a target below the scheme stays an input error under any cap
+    monkeypatch.setenv("FATPOINTS_COLUMN_CAP", "1")
+    assert main(embed_argv + ["1"]) == 1
+    assert capsys.readouterr().err == "fatpoints: error: target dimension 1 is below ambient 2\n"
 
 
 def _outcome(argv, capsys):

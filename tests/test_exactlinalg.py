@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from fatpoints.exactlinalg import Matrix, _echelon, binomial, nullspace_basis, rank
+import fatpoints.exactlinalg as exactlinalg_mod
+from fatpoints.exactlinalg import (
+    Matrix,
+    _echelon,
+    _sparse_int_rows,
+    binomial,
+    nullspace_basis,
+    rank,
+)
 from fatpoints.hilbert import _conditions_int_rows, conditions_matrix
 from fatpoints.scheme import embed, gen_random, make_scheme
 
@@ -186,6 +194,57 @@ def test_echelon_rows_are_primitive():
                 assert len(echelon) == len(pivots) > 0
                 for row in echelon:
                     assert math.gcd(*row.values()) == 1, (scheme.ambient_dim, t, row)
+
+
+def test_echelon_pivots_increase_and_lead_their_rows():
+    rng = random.Random(31)
+    inputs = [(_sparse_int_rows(m), m.cols) for m in (_random_matrix(rng) for _ in range(200))]
+    for z in _triple_point_schemes():
+        for scheme in (z, embed(z, 3)):
+            inputs += [_conditions_int_rows(scheme, scheme.ambient_dim, t) for t in range(1, 6)]
+    for rows, ncols in inputs:
+        echelon, pivots = _echelon(rows, ncols)
+        assert all(a < b for a, b in zip(pivots, pivots[1:])), pivots
+        assert [min(row) for row in echelon] == pivots
+
+
+def test_echelon_reads_no_row_past_a_full_rank(monkeypatch):
+    calls = []
+    combine = exactlinalg_mod._combine
+
+    def counted(row, prow, col):
+        calls.append(col)
+        return combine(row, prow, col)
+
+    monkeypatch.setattr(exactlinalg_mod, "_combine", counted)
+    # lower triangular rows: each one is reduced by every row above it
+    full = [{j: i - j + 1 for j in range(i + 1)} for i in range(5)]
+    extra = [{j: 1 for j in range(5)}, {4: 2}, {0: 3, 2: 1}]
+    assert len(_echelon(full, 5)[1]) == 5
+    needed = len(calls)
+    assert needed > 0
+    calls.clear()
+    assert _echelon(full + extra, 5)[1] == [0, 1, 2, 3, 4]
+    assert len(calls) == needed
+
+
+def test_echelon_edge_shapes_match_the_oracles():
+    rng = random.Random(32)
+    matrices = [
+        Matrix(0, 4, ()),
+        Matrix(3, 0, ()),
+        Matrix.from_rows([[0, 0, 0]] * 4),
+        Matrix.from_rows([[0, 0], [1, 2], [0, 0], [2, 4], [3, 1]]),
+    ]
+    for _ in range(100):
+        cols = rng.randint(1, 4)
+        data = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(cols)] for _ in range(cols + 4)]
+        data[rng.randrange(len(data))] = [0] * cols
+        matrices.append(Matrix.from_rows(data))
+    for m in matrices:
+        rows = m.to_rows()
+        assert rank(m) == naive_rank(rows)
+        assert nullspace_basis(m) == naive_nullspace(rows, m.cols)
 
 
 def _random_rational_matrix(rng):

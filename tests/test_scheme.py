@@ -115,7 +115,7 @@ def test_padded_points_equal_constructed_points():
     for padded, source in zip(w.points, z.points):
         built = ProjectivePoint(source.coords + (0, 0, 0))
         assert padded == built and hash(padded) == hash(built)
-        # embed hands the source's cached values on; they match a fresh computation
+        # embed builds each point with the constructor; its cached values match the source's
         assert padded._integral == built._integral == source._integral
     assert w == scheme_from_json(scheme_to_json(w))
 
