@@ -28,7 +28,8 @@ monomials of degree t - |alpha| in the point's nonzero coordinates.  The
 columns and the coefficients C(beta, delta) depend only on the number of
 variables, that support, |alpha| and t, so they come from a small cache of
 point-free tables (``_row_table``, bounded like an LRU cache); per point
-and order only the powers c^delta are computed, and each row is the
+only the powers c^delta are computed, one list per degree t - |alpha|,
+kept on the point for its 2 * m_i most recent degrees, and each row is the
 coefficients times the powers.  The point's lead and integer
 representative are computed once per point.  Consequently
 
@@ -39,6 +40,14 @@ and the regularity index is the first t where H(t) reaches the
 multiplicity of the scheme.  The points of embed(Z, m) are Z's padded with
 zeros, so given ``target_dim`` m the functions below answer for embed(Z, m)
 from Z's points in m + 1 variables: no point is padded.
+
+The image's rows contain Z's rows of the same degree, lifted onto the
+old-variable columns, so an image rank resumes from Z's echelon form,
+which a memo of two entries holds (``_source_echelon``), and inserts only
+the image rows that are not lifted source rows.  Each skipped image row is
+compared entry by entry with the lifted source row of the same
+(component, alpha) label; if some source row has no equal image row, all
+image rows are eliminated in full.
 
 Monomials of a fixed degree are listed in graded-lexicographic order with
 X_0 > X_1 > ... > X_n, i.e. exponent vectors in descending lexicographic
@@ -54,7 +63,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit
-from .exactlinalg import Matrix, binomial, _rank_of_int_rows
+from .exactlinalg import Matrix, binomial, _echelon, _rank_of_int_rows
 from .scheme import FatPointScheme, TruncatedScheme, UnitIdeal, _image_dim, multiplicity
 
 __all__ = [
@@ -147,7 +156,7 @@ def monomial_basis(num_vars: int, degree: int) -> MonomialBasis:
     return MonomialBasis(num_vars, degree, exponents)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=2048)
 def _row_table(num_vars: int, support: tuple[int, ...], g: int, t: int):
     """The point-free part of the degree-t rows of order g, for points whose
     nonzero coordinates sit exactly at ``support``.
@@ -175,6 +184,28 @@ def _row_table(num_vars: int, support: tuple[int, ...], g: int, t: int):
     return tuple(table)
 
 
+def _point_powers(point, d: int, keep: int) -> list[int]:
+    """c^delta for every delta of degree d on the support of the point's
+    integer representative c, in ``_monomials`` order.
+
+    The lists are kept on the point by degree, the source's rows, its
+    image's and its truncations' alike, and at most ``keep`` of them: the
+    least recently used is dropped first.
+    """
+    lists = point._powers
+    powers = lists.pop(d, None)
+    if powers is None:
+        _, support, values = point._integral
+        powers = [
+            math.prod([values[k] ** e for k, e in local])
+            for local in _monomials(len(support), d)
+        ]
+        if len(lists) >= keep:
+            del lists[next(iter(lists))]
+    lists[d] = powers
+    return powers
+
+
 def _labelled_rows(scheme: FatPointScheme, dim: int, t: int):
     """Yield ``((component, alpha), scale, row)`` for every degree-t row of
     the scheme's points in P^dim, by component, then alpha in graded-lex
@@ -184,18 +215,15 @@ def _labelled_rows(scheme: FatPointScheme, dim: int, t: int):
     prod_j C(alpha_j + delta_j, delta_j) * c^delta in column alpha + delta
     for each delta of degree t - |alpha| on the nonzero coordinates of c.
     Columns and coefficients come from the cached ``_row_table`` of the
-    point's support; only the powers c^delta are computed per point, once
-    per order.  The row is the normalized point's row times
-    scale = lead_i^(t - |alpha|).
+    point's support; the powers c^delta come from ``_point_powers``, which
+    keeps the lists of 2 * m_i degrees on the point.  The row is the
+    normalized point's row times scale = lead_i^(t - |alpha|).
     """
     nvars = dim + 1
     for ci, (point, mult) in enumerate(scheme.components):
-        lead, support, values = point._integral
+        lead, support, _ = point._integral
         for g in range(min(mult - 1, t) + 1):
-            powers = [
-                math.prod([values[k] ** d for k, d in local])
-                for local in _monomials(len(support), t - g)
-            ]
+            powers = _point_powers(point, t - g, 2 * mult)
             scale = lead ** (t - g)
             alphas = _monomials(nvars, g)
             for alpha, (columns, coefficients) in zip(alphas, _row_table(nvars, support, g, t)):
@@ -244,10 +272,56 @@ def conditions_matrix(scheme: FatPointScheme, t: int) -> ConditionsMatrix:
     return ConditionsMatrix(matrix, tuple(labels), basis)
 
 
+def _old_columns(source_vars: int, image_vars: int, t: int) -> list[int]:
+    """The image column of each degree-t source column, in source order;
+    a monomial in X_0..X_n is also one in X_0..X_m, and the list increases
+    because both orders are the same graded-lex order."""
+    index = _column_index(image_vars, t)
+    return [index[beta] for beta in _monomials(source_vars, t)]
+
+
+@lru_cache(maxsize=2)
+def _source_echelon(scheme: FatPointScheme, t: int):
+    """The scheme's degree-t rows in its own space, by label, and the pivot
+    rows of their echelon form, by pivot column."""
+    n = scheme.ambient_dim
+    rows = {label: row for label, _, row in _labelled_rows(scheme, n, t)}
+    echelon, pivots = _echelon(rows.values(), binomial(t + n, n))
+    return rows, dict(zip(pivots, echelon))
+
+
 @lru_cache(maxsize=None)
 def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> int:
-    rows, ncols = _conditions_int_rows(scheme, dim, t)
-    return _rank_of_int_rows(rows, ncols)
+    """Rank of the degree-t conditions rows of the scheme's points in P^dim.
+
+    The scheme's own rank is read from ``_source_echelon``.  For an image,
+    dim > n, the elimination resumes from the source echelon lifted onto
+    the old columns, and only the image rows that are not lifted source
+    rows are inserted.  This is exact with no identity assumed: each
+    skipped image row is compared entry by entry with the lifted source row
+    of the same label, and if any source row finds no equal image row, all
+    image rows are eliminated in full.
+    """
+    source_rows, source_pivots = _source_echelon(scheme, t)
+    n = scheme.ambient_dim
+    if dim == n:
+        return len(source_pivots)
+    old = _old_columns(n + 1, dim + 1, t)
+    image_rows, rest = [], []
+    for label, _, row in _labelled_rows(scheme, dim, t):
+        image_rows.append(row)
+        source = source_rows.get(label)
+        if source is None or len(source) != len(row) or any(
+            row.get(old[c]) != v for c, v in source.items()
+        ):
+            rest.append(row)
+    ncols = binomial(t + dim, dim)
+    if len(image_rows) - len(rest) < len(source_rows):
+        return _rank_of_int_rows(image_rows, ncols)
+    start = {
+        old[col]: {old[c]: v for c, v in row.items()} for col, row in source_pivots.items()
+    }
+    return len(_echelon(rest, ncols, start)[1])
 
 
 def hilbert_function(scheme: TruncatedScheme, t: int, target_dim: int | None = None) -> int:
@@ -294,9 +368,7 @@ def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[
     n = scheme.ambient_dim
     image_rows, ncols = _conditions_int_rows(scheme, target_dim, t)
     source_rows, source_cols = _conditions_int_rows(scheme, n, t)
-    # a monomial in X_0..X_n is also one in X_0..X_m
-    index = _column_index(target_dim + 1, t)
-    old_cols = [index[beta] for beta in _monomials(n + 1, t)]
+    old_cols = _old_columns(n + 1, target_dim + 1, t)
     lifted = [{old_cols[c]: v for c, v in row.items()} for row in source_rows]
     position = {c: k for k, c in enumerate(old_cols)}
     restricted_rows = [

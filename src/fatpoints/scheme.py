@@ -102,9 +102,10 @@ class ProjectivePoint:
     def ambient_dim(self) -> int:
         return len(self.coords) - 1
 
-    # The hash and the integer representative are computed once per point,
-    # on first use, for the row builder's hot path, and kept out of the
-    # dataclass fields: equality, repr and JSON never see them.
+    # The hash, the integer representative and the row builder's power
+    # lists are computed once per point, on first use, for the row
+    # builder's hot path, and kept out of the dataclass fields: equality,
+    # repr and JSON never see them.
 
     def __hash__(self) -> int:
         return self._hash
@@ -125,6 +126,12 @@ class ProjectivePoint:
         )
         return lead, support, values
 
+    @cached_property
+    def _powers(self) -> dict[int, list[int]]:
+        """Power lists of the integer representative by degree, filled and
+        bounded by the Hilbert layer."""
+        return {}
+
 
 @dataclass(frozen=True)
 class FatPointScheme:
@@ -132,6 +139,12 @@ class FatPointScheme:
 
     ambient_dim: int
     components: tuple[tuple[ProjectivePoint, int], ...]
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        # kept out of the fields like the points' cached values
+        canonical = json.dumps(scheme_to_json_dict(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     @property
     def num_points(self) -> int:
@@ -172,20 +185,22 @@ def make_scheme(ambient_dim: int, raw_components: Iterable[tuple[Sequence, int]]
     """
     if ambient_dim < 1:
         raise SchemeFormatError("ambient dimension must be at least 1")
+    # points are named by their position, never by their coordinates,
+    # which may be too many or too long to print
     components = []
-    seen: set[ProjectivePoint] = set()
-    for coords, mult in raw_components:
+    seen: dict[ProjectivePoint, int] = {}
+    for k, (coords, mult) in enumerate(raw_components):
         coords = tuple(coords)
         if len(coords) != ambient_dim + 1:
             raise DimensionMismatch(
-                f"point {coords!r} has {len(coords)} coordinates, expected {ambient_dim + 1}"
+                f"points[{k}] has {len(coords)} coordinates, expected {ambient_dim + 1}"
             )
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise NonpositiveMultiplicity(f"multiplicity {mult!r} is not a positive integer")
         point = ProjectivePoint(coords)
         if point in seen:
-            raise DuplicatePoint(f"point {point.coords} appears twice after normalization")
-        seen.add(point)
+            raise DuplicatePoint(f"points[{k}] equals points[{seen[point]}] after normalization")
+        seen[point] = k
         components.append((point, mult))
     if not components:
         raise SchemeFormatError("a scheme needs at least one component")
@@ -381,6 +396,6 @@ def scheme_from_json(text: str) -> FatPointScheme:
 
 
 def scheme_fingerprint(scheme: FatPointScheme) -> str:
-    """Short hash of the canonical JSON form, used to tag reports."""
-    canonical = json.dumps(scheme_to_json_dict(scheme), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    """Short hash of the canonical JSON form, used to tag reports; computed
+    once per scheme."""
+    return scheme._fingerprint

@@ -487,3 +487,21 @@ def test_rnc_formula_bad_values_exit_one(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("fatpoints: error: ") and captured.err.count("\n") == 1
+
+
+def test_point_errors_name_positions_not_coordinates(tmp_path, capsys):
+    # the same point twice, normalized to (1, N^2) with N of 3,000 nines: N^2
+    # has 6,000 digits, over the interpreter's default integer-string limit
+    nines = "9" * 3000
+    twice = {"ambient_dim": 1, "points": [{"coords": [f"1/{nines}", nines], "multiplicity": 1}] * 2}
+    # a point of P^1 with 200,000 coordinates
+    long = {"ambient_dim": 1, "points": [{"coords": ["1"] * 200_000, "multiplicity": 1}]}
+    for name, doc in (("twice.json", twice), ("long.json", long)):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        assert main(["reg", "--scheme", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fatpoints: error: ") and captured.err.count("\n") == 1
+        assert len(captured.err.encode("utf-8")) < 200, captured.err[:200]
+        assert "Traceback" not in captured.err

@@ -553,3 +553,113 @@ def test_embedded_rows_take_memory_by_columns_not_variables():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+def _image_miss(scheme, target_dim, t, mp):
+    """The image's H(t) as a fresh rank-memo miss, with the calls of the
+    full eliminations counted."""
+    hilbert_mod._rank_at_degree.cache_clear()
+    calls = _counting_eliminations(mp)
+    return hilbert_function(scheme, t, target_dim), calls
+
+
+def test_image_ranks_resume_from_the_source_echelon(monkeypatch):
+    shapes = [(1, [2, 1, 1]), (2, [2, 2, 1]), (3, [2, 1, 1])]
+    echelons = hilbert_mod._source_echelon
+    for config in ("generic", "collinear", "rnc"):
+        for seed, (n, mults) in enumerate(shapes):
+            z = gen_random(n, len(mults), mults, config=config, seed=seed + 40)
+            for m in (n + 1, n + 2, n + 3):
+                for t in range(regularity_index(z) + 2):
+                    rows, ncols = _conditions_int_rows(embed(z, m), m, t)
+                    plain = _rank_of_int_rows(rows, ncols)
+                    with monkeypatch.context() as mp:
+                        # cold: no source echelon is held
+                        echelons.cache_clear()
+                        cold, calls = _image_miss(z, m, t, mp)
+                        assert (cold, calls) == (plain, [])
+                        # warm: the source's H(t) left its echelon behind
+                        echelons.cache_clear()
+                        hilbert_function(z, t)
+                        hits = echelons.cache_info().hits
+                        warm, calls = _image_miss(z, m, t, mp)
+                        assert (warm, calls) == (plain, [])
+                        assert echelons.cache_info().hits == hits + 1
+                        # cleared between the source's call and the image's
+                        hilbert_function(z, t)
+                        echelons.cache_clear()
+                        cleared, calls = _image_miss(z, m, t, mp)
+                        assert (cleared, calls) == (plain, [])
+    hilbert_mod._rank_at_degree.cache_clear()
+
+
+def _perturb_source_labelled_row(change):
+    real_rows = hilbert_mod._labelled_rows
+
+    def rows(scheme, dim, t):
+        for label, scale, row in real_rows(scheme, dim, t):
+            # component 1 is a simple point in every scheme below
+            if dim > scheme.ambient_dim and label == (1, ()):
+                row = change(dict(row))
+            yield label, scale, row
+
+    return rows
+
+
+def _add_to_least_entry(row):
+    row[min(row)] += 1
+    return row
+
+
+def _clear_row(row):
+    return {}
+
+
+def test_image_rank_falls_back_when_a_source_row_is_not_an_image_row(monkeypatch):
+    schemes = [
+        (make_scheme(1, [((1, 2), 2), ((1, -1), 1)]), 2),
+        (make_scheme(2, [((1, 2, -1), 2), ((0, 1, 3), 1)]), 4),
+        (gen_random(2, 3, [2, 1, 1], config="collinear", seed=5), 3),
+    ]
+    cases = [
+        (change, scheme, target_dim, t)
+        for change in (_add_to_least_entry, _clear_row)
+        for scheme, target_dim in schemes
+        for t in range(regularity_index(scheme) + 2)
+    ]
+    differs = False
+    for change, scheme, target_dim, t in cases:
+        true_rank = hilbert_function(scheme, t, target_dim)
+        with monkeypatch.context() as mp:
+            mp.setattr(hilbert_mod, "_labelled_rows", _perturb_source_labelled_row(change))
+            rows = [row for _, _, row in hilbert_mod._labelled_rows(scheme, target_dim, t)]
+            hilbert_function(scheme, t)  # the source echelon is held, unperturbed
+            got, calls = _image_miss(scheme, target_dim, t, mp)
+        assert calls == [len(rows)]
+        assert got == _rank_of_int_rows(rows, binomial(t + target_dim, target_dim))
+        differs |= got != true_rank
+    # some perturbed rows have another rank, so a wrongly resumed
+    # elimination would be seen
+    assert differs
+    hilbert_mod._rank_at_degree.cache_clear()
+
+
+def test_old_column_map_increases_and_keeps_exponents():
+    for n, m, t in ((1, 2, 0), (1, 4, 3), (2, 3, 4), (2, 5, 2), (3, 6, 3)):
+        old = hilbert_mod._old_columns(n + 1, m + 1, t)
+        assert all(a < b for a, b in zip(old, old[1:]))
+        image = monomial_basis(m + 1, t).exponents
+        pad = (0,) * (m - n)
+        assert [image[c] for c in old] == [beta + pad for beta in monomial_basis(n + 1, t).exponents]
+
+
+def test_power_lists_and_source_echelons_stay_bounded():
+    z = gen_random(2, 3, [1, 1, 3], config="generic", seed=8)
+    for t in range(41):
+        hilbert_function(z, t)
+        hilbert_function(z, t, 3)
+    for point, mult in z.components:
+        assert 1 <= len(point._powers) <= 2 * mult
+    assert [len(p._powers) for p in z.points[:2]] == [2, 2]
+    info = hilbert_mod._source_echelon.cache_info()
+    assert info.maxsize == 2 and info.currsize <= info.maxsize

@@ -16,6 +16,7 @@ from fatpoints.errors import (
     ZeroPoint,
 )
 from fatpoints.exactlinalg import Matrix, rank
+from fatpoints.hilbert import conditions_matrix
 from fatpoints.scheme import (
     FatPointScheme,
     ProjectivePoint,
@@ -128,13 +129,18 @@ def test_cached_point_values_stay_out_of_json_fingerprint_and_equality():
         hash(p)
         p._integral
     embed(z, 4)
+    conditions_matrix(z, 3)  # builds rows, so fills the points' power lists
     assert "_integral" in vars(z.points[0]) and "_hash" in vars(z.points[0])
-    assert "_integral" not in vars(fresh.points[0])
+    assert vars(z.points[0])["_powers"] and vars(z)["_fingerprint"] == fingerprint
+    for name in ("_integral", "_powers"):
+        assert name not in vars(fresh.points[0])
+    assert "_fingerprint" not in vars(fresh)
     assert scheme_to_json(z) == text
-    assert scheme_fingerprint(z) == fingerprint
+    assert scheme_fingerprint(z) == fingerprint == scheme_fingerprint(fresh)
     assert repr(z) == shown
     assert z == fresh and hash(z) == hash(fresh)
     assert [f.name for f in dataclasses.fields(ProjectivePoint)] == ["coords"]
+    assert [f.name for f in dataclasses.fields(FatPointScheme)] == ["ambient_dim", "components"]
     assert dataclasses.asdict(z) == dataclasses.asdict(fresh)
 
 
