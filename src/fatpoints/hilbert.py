@@ -47,7 +47,9 @@ which a memo of two entries holds (``_source_echelon``), and inserts only
 the image rows that are not lifted source rows.  Each skipped image row is
 compared entry by entry with the lifted source row of the same
 (component, alpha) label; if some source row has no equal image row, all
-image rows are eliminated in full.
+image rows are eliminated in full.  Next to each image rank the memo
+records whether it resumed and no inserted row meets an old-variable
+column; ``restriction_ranks`` answers from the entries where both held.
 
 Monomials of a fixed degree are listed in graded-lexicographic order with
 X_0 > X_1 > ... > X_n, i.e. exponent vectors in descending lexicographic
@@ -291,8 +293,9 @@ def _source_echelon(scheme: FatPointScheme, t: int):
 
 
 @lru_cache(maxsize=None)
-def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> int:
-    """Rank of the degree-t conditions rows of the scheme's points in P^dim.
+def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> tuple[int, bool]:
+    """Rank of the degree-t conditions rows of the scheme's points in P^dim,
+    and whether those rows certify ``restriction_ranks``.
 
     The scheme's own rank is read from ``_source_echelon``.  For an image,
     dim > n, the elimination resumes from the source echelon lifted onto
@@ -300,12 +303,13 @@ def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> int:
     rows are inserted.  This is exact with no identity assumed: each
     skipped image row is compared entry by entry with the lifted source row
     of the same label, and if any source row finds no equal image row, all
-    image rows are eliminated in full.
+    image rows are eliminated in full.  The certificate: the elimination
+    resumed, and no inserted row has an entry in an old-variable column.
     """
     source_rows, source_pivots = _source_echelon(scheme, t)
     n = scheme.ambient_dim
     if dim == n:
-        return len(source_pivots)
+        return len(source_pivots), True
     old = _old_columns(n + 1, dim + 1, t)
     image_rows, rest = [], []
     for label, _, row in _labelled_rows(scheme, dim, t):
@@ -317,11 +321,12 @@ def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> int:
             rest.append(row)
     ncols = binomial(t + dim, dim)
     if len(image_rows) - len(rest) < len(source_rows):
-        return _rank_of_int_rows(image_rows, ncols)
+        return _rank_of_int_rows(image_rows, ncols), False
     start = {
         old[col]: {old[c]: v for c, v in row.items()} for col, row in source_pivots.items()
     }
-    return len(_echelon(rest, ncols, start)[1])
+    certified = all(map(set(old).isdisjoint, rest))
+    return len(_echelon(rest, ncols, start)[1]), certified
 
 
 def hilbert_function(scheme: TruncatedScheme, t: int, target_dim: int | None = None) -> int:
@@ -331,7 +336,7 @@ def hilbert_function(scheme: TruncatedScheme, t: int, target_dim: int | None = N
     _cap_check(dim, t)
     if isinstance(scheme, UnitIdeal):
         return 0
-    return _rank_at_degree(scheme, dim, t)
+    return _rank_at_degree(scheme, dim, t)[0]
 
 
 def ideal_dim(scheme: TruncatedScheme, t: int, target_dim: int | None = None) -> int:
@@ -339,11 +344,6 @@ def ideal_dim(scheme: TruncatedScheme, t: int, target_dim: int | None = None) ->
     or of its image ``embed(scheme, target_dim)``."""
     dim = _image_dim(scheme, target_dim)
     return binomial(t + dim, dim) - hilbert_function(scheme, t, target_dim)
-
-
-def _row_keys(rows) -> set[frozenset]:
-    """The nonempty sparse rows, as hashable keys."""
-    return {frozenset(row.items()) for row in rows if row}
 
 
 def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[int, int]:
@@ -356,30 +356,28 @@ def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[
     maps the image ideal into the source ideal.  ``restricted`` is the rank
     of the image's rows restricted to the old-variable columns.
 
-    Two facts, checked on this call's rows, let the rank memo answer:
-    (a) every lifted source row is literally an image row, so the stacked
-    rows span the image rows' space and ``stacked`` is the image's H(t);
-    (b) every restricted image row is empty or literally a source row, so,
-    with (a), the restricted rows are the source rows plus zero rows and
-    ``restricted`` is the source's H(t).  When both hold, both ranks come
-    from ``_rank_at_degree``; otherwise both are eliminated as defined.
+    The image's rank memo entry, warmed here if cold, records whether the
+    resumed elimination proved two facts about its rows: (a) every lifted
+    source row is literally an image row, so the stacked rows span the
+    image rows' space and ``stacked`` is the image's H(t); (b) every other
+    image row has no entry in an old-variable column, so, with (a), the
+    restricted rows are the source rows plus zero rows and ``restricted``
+    is the source's H(t).  When both hold, both ranks come from the memo;
+    otherwise both are eliminated as defined.
     """
     _cap_check(_image_dim(scheme, target_dim), t)
     n = scheme.ambient_dim
+    stacked, certified = _rank_at_degree(scheme, target_dim, t)
+    if certified:
+        return stacked, _rank_at_degree(scheme, n, t)[0]
     image_rows, ncols = _conditions_int_rows(scheme, target_dim, t)
     source_rows, source_cols = _conditions_int_rows(scheme, n, t)
     old_cols = _old_columns(n + 1, target_dim + 1, t)
     lifted = [{old_cols[c]: v for c, v in row.items()} for row in source_rows]
     position = {c: k for k, c in enumerate(old_cols)}
-    restricted_rows = [
-        {position[c]: v for c, v in row.items() if c in position} for row in image_rows
-    ]
-    if _row_keys(lifted) <= _row_keys(image_rows) and (
-        _row_keys(restricted_rows) <= _row_keys(source_rows)
-    ):
-        return _rank_at_degree(scheme, target_dim, t), _rank_at_degree(scheme, n, t)
+    restricted = [{position[c]: v for c, v in row.items() if c in position} for row in image_rows]
     stacked = _rank_of_int_rows(image_rows + lifted, ncols)
-    return stacked, _rank_of_int_rows(restricted_rows, source_cols)
+    return stacked, _rank_of_int_rows(restricted, source_cols)
 
 
 def regularity_index(scheme: FatPointScheme, target_dim: int | None = None) -> int:

@@ -64,18 +64,16 @@ _ZERO = Fraction(0)
 def _to_fraction(value) -> Fraction:
     if type(value) is Fraction:  # immutable, so shared rather than copied
         return value
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SchemeFormatError(f"coordinates must be exact rationals, got {value!r}")
     if isinstance(value, str):
         if not _RATIONAL_STRING.match(value):
-            raise SchemeFormatError(f"not an integer or fraction string: {value!r}")
+            raise SchemeFormatError(f"coordinate of {len(value)} characters is not a fraction")
         try:
             return Fraction(value)
         except ValueError as exc:  # over the interpreter's integer-string limit
             raise SchemeFormatError(f"coordinate of {len(value)} characters: {exc}") from None
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
-    raise SchemeFormatError(f"coordinates must be exact rationals, got {value!r}")
+    raise SchemeFormatError(f"coordinates must be exact rationals, got a {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -374,16 +372,19 @@ def scheme_from_json_dict(doc: dict) -> FatPointScheme:
     if not isinstance(points, list):
         raise SchemeFormatError("points must be a list")
     raw = []
-    for entry in points:
+    for k, entry in enumerate(points):
         if not isinstance(entry, dict) or set(entry) != {"coords", "multiplicity"}:
-            raise SchemeFormatError(f"bad point entry: {entry!r}")
+            raise SchemeFormatError(f"points[{k}] needs exactly the keys coords and multiplicity")
         mult = entry["multiplicity"]
         if not isinstance(mult, int) or isinstance(mult, bool):
-            raise SchemeFormatError(f"multiplicity must be an integer, got {mult!r}")
+            raise SchemeFormatError(f"points[{k}] has a multiplicity of type {type(mult).__name__}")
         coords = entry["coords"]
         if not isinstance(coords, list):
-            raise SchemeFormatError("coords must be a list of rational strings")
-        raw.append((tuple(_to_fraction(c) for c in coords), mult))
+            raise SchemeFormatError(f"points[{k}] coords must be a list of rational strings")
+        try:
+            raw.append((tuple(map(_to_fraction, coords)), mult))
+        except SchemeFormatError as exc:
+            raise SchemeFormatError(f"points[{k}]: {exc}") from None
     return make_scheme(ambient, raw)
 
 

@@ -505,3 +505,27 @@ def test_point_errors_name_positions_not_coordinates(tmp_path, capsys):
         assert captured.err.startswith("fatpoints: error: ") and captured.err.count("\n") == 1
         assert len(captured.err.encode("utf-8")) < 200, captured.err[:200]
         assert "Traceback" not in captured.err
+
+
+def test_bad_point_values_are_named_by_position_and_type_or_length(tmp_path, capsys):
+    # each bad value would print as a stderr line of 100 to 500 KB
+    point = {"coords": ["1", "0"], "multiplicity": 1}
+    docs = {
+        "string": [{"coords": ["x" * 100_000, "1"], "multiplicity": 1}],
+        "extra_key": [{"coords": ["1"] * 100_000, "multiplicity": 1, "extra": 1}],
+        "list_multiplicity": [{"coords": ["1", "0"], "multiplicity": [1] * 100_000}],
+    }
+    expected = {
+        "string": "points[1]: coordinate of 100000 characters",
+        "extra_key": "points[1] needs exactly the keys",
+        "list_multiplicity": "points[1] has a multiplicity of type list",
+    }
+    for name, bad in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"ambient_dim": 1, "points": [point] + bad}))
+        assert main(["reg", "--scheme", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fatpoints: error: " + expected[name])
+        assert captured.err.count("\n") == 1
+        assert len(captured.err.encode("utf-8")) < 200, captured.err[:200]

@@ -372,7 +372,7 @@ def test_safety_cap_flags_broken_hilbert_values(monkeypatch):
 
     # a Hilbert function that never reaches the multiplicity must trip the
     # scan bound instead of looping
-    monkeypatch.setattr(hilbert_mod, "_rank_at_degree", lambda scheme, dim, t: 0)
+    monkeypatch.setattr(hilbert_mod, "_rank_at_degree", lambda scheme, dim, t: (0, True))
     with pytest.raises(InternalBoundViolation):
         regularity_index(_single(2, 2))
 
@@ -409,7 +409,8 @@ def _dense(rows, ncols):
 
 def _change_first_entry(rows):
     # the first image row is the lift of the first source row: breaks (a) and (b)
-    rows[0][min(rows[0])] += 1
+    row = rows[0][2]
+    row[min(row)] += 1
 
 
 def _drop_first_row(rows):
@@ -419,20 +420,24 @@ def _drop_first_row(rows):
 
 def _append_old_column_row(rows):
     # a new image row whose restriction is no source row: breaks (b) only
-    rows.append({0: 1, 1: 10**9})
+    rows.append(((-1, ()), 1, {0: 1, 1: 10**9}))
+
+
+def _perturb_image_labelled_rows(perturb, target_dim):
+    real_rows = hilbert_mod._labelled_rows
+
+    def rows(scheme, dim, t):
+        labelled = list(real_rows(scheme, dim, t))
+        if dim == target_dim:
+            labelled = [(label, scale, dict(row)) for label, scale, row in labelled]
+            perturb(labelled)
+        yield from labelled
+
+    return rows
 
 
 @pytest.mark.parametrize("perturb", [_change_first_entry, _drop_first_row, _append_old_column_row])
 def test_restriction_fallback_when_certificate_fails(monkeypatch, perturb):
-    real_builder = hilbert_mod._conditions_int_rows
-
-    def builder(z, dim, degree):
-        rows, ncols = real_builder(z, dim, degree)
-        if dim == target_dim:
-            rows = [dict(row) for row in rows]
-            perturb(rows)
-        return rows, ncols
-
     schemes = [
         (make_scheme(1, [((1, 2), 2), ((1, -1), 1)]), 2),
         (make_scheme(2, [((1, 2, -1), 2), ((0, 1, 3), 1)]), 4),
@@ -440,37 +445,70 @@ def test_restriction_fallback_when_certificate_fails(monkeypatch, perturb):
     ]
     for scheme, target_dim in schemes:
         for t in range(1, regularity_index(scheme) + 2):
-            # a warm memo holds the true ranks, so it can never answer here
-            for dim in (None, target_dim):
-                hilbert_function(scheme, t, dim)
+            hook = _perturb_image_labelled_rows(perturb, target_dim)
             with monkeypatch.context() as mp:
-                mp.setattr(hilbert_mod, "_conditions_int_rows", builder)
+                mp.setattr(hilbert_mod, "_labelled_rows", hook)
                 plain = _plain_restriction_rows(scheme, target_dim, t)
+                # the memo entry of the perturbed image rows carries no certificate
+                hilbert_mod._rank_at_degree.cache_clear()
+                hilbert_function(scheme, t, target_dim)
                 calls = _counting_eliminations(mp)
                 got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
             assert len(calls) == 2
             assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
             if plain[0][1] <= 40:
                 assert list(got) == [naive_rank(_dense(rows, ncols)) for rows, ncols in plain]
+    hilbert_mod._rank_at_degree.cache_clear()
 
 
-def test_restriction_certified_from_warm_memo(monkeypatch):
+def _counting_row_builds(mp):
+    calls = []
+    real_rows = hilbert_mod._labelled_rows
+
+    def counted(scheme, dim, t):
+        calls.append((dim, t))
+        return real_rows(scheme, dim, t)
+
+    mp.setattr(hilbert_mod, "_labelled_rows", counted)
+    return calls
+
+
+def _restriction_cases():
     shapes = [(1, [2, 1, 1]), (2, [2, 2, 1]), (3, [2, 1, 1])]
     for config in ("generic", "collinear", "rnc"):
         for seed, (n, mults) in enumerate(shapes):
             scheme = gen_random(n, len(mults), mults, config=config, seed=seed)
             for target_dim in (n + 1, n + 2, n + 3):
                 for t in range(regularity_index(scheme) + 2):
-                    plain = _plain_restriction_rows(scheme, target_dim, t)
-                    # the certificate answers from the memo entries of
-                    # H(t) and of the image's H(t), asked for by target_dim
-                    for dim in (None, target_dim):
-                        hilbert_function(scheme, t, dim)
-                    with monkeypatch.context() as mp:
-                        calls = _counting_eliminations(mp)
-                        got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
-                    assert calls == []
-                    assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
+                    yield scheme, target_dim, t
+
+
+def test_restriction_certified_from_warm_memo(monkeypatch):
+    for scheme, target_dim, t in _restriction_cases():
+        plain = _plain_restriction_rows(scheme, target_dim, t)
+        # the certificate answers from the memo entries of H(t) and of the
+        # image's H(t), asked for by target_dim
+        for dim in (None, target_dim):
+            hilbert_function(scheme, t, dim)
+        with monkeypatch.context() as mp:
+            calls = _counting_eliminations(mp)
+            builds = _counting_row_builds(mp)
+            got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
+        assert (calls, builds) == ([], [])
+        assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
+
+
+def test_restriction_ranks_warm_a_cleared_memo(monkeypatch):
+    for scheme, target_dim, t in _restriction_cases():
+        plain = _plain_restriction_rows(scheme, target_dim, t)
+        hilbert_mod._rank_at_degree.cache_clear()
+        with monkeypatch.context() as mp:
+            calls = _counting_eliminations(mp)
+            got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
+        # the resumed image elimination certifies: nothing from scratch
+        assert calls == []
+        assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
+        assert list(got) == [hilbert_function(scheme, t, target_dim), hilbert_function(scheme, t)]
 
 
 def _memo_counts():
