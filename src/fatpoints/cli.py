@@ -69,10 +69,13 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _parse_mults(raw: str) -> list[int]:
-    try:
-        mults = [int(part) for part in raw.split(",") if part != ""]
-    except ValueError:
-        raise FatpointsError(f"bad multiplicity list {raw!r}; expected e.g. 2,2,1") from None
+    mults = []
+    for k, part in enumerate(part for part in raw.split(",") if part != ""):
+        try:
+            mults.append(int(part))
+        except ValueError:  # also a part over the interpreter's integer-string limit
+            bad = f"multiplicity {k} ({len(part)} characters) is not an integer"
+            raise FatpointsError(f"{bad}; expected e.g. 2,2,1") from None
     if not mults:
         raise FatpointsError("multiplicity list is empty")
     return mults
@@ -246,7 +249,8 @@ def main(argv=None) -> int:
             if value < 1:
                 raise ValueError
         except ValueError:
-            print(f"fatpoints: error: bad FATPOINTS_COLUMN_CAP {cap!r}", file=sys.stderr)
+            message = f"FATPOINTS_COLUMN_CAP of {len(cap)} characters is not a positive integer"
+            print(f"fatpoints: error: {message}", file=sys.stderr)
             return 1
         hilbert_mod.COLUMN_CAP = value
     try:

@@ -125,11 +125,7 @@ def _combine(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, i
     return new
 
 
-def _echelon(
-    rows: Iterable[dict[int, int]],
-    ncols: int,
-    start: dict[int, dict[int, int]] | None = None,
-):
+def _echelon(rows: Iterable[dict[int, int]], ncols: int):
     """Forward elimination on sparse integer rows, by leading-column insertion.
 
     Returns ``(echelon_rows, pivot_cols)`` with ``pivot_cols`` increasing and
@@ -137,13 +133,8 @@ def _echelon(
     row, in input order, is combined through :func:`_combine` with the pivot
     row of its least column until it vanishes or becomes that column's pivot
     row.  Reading stops once all ``ncols`` columns have a pivot.
-
-    ``start`` optionally maps columns to pivot rows to begin with, each row
-    with its least column at its key, such as an earlier call's result; the
-    echelon rows then span those rows together with ``rows``.  The dict is
-    copied, never changed.
     """
-    pivot_rows: dict[int, dict[int, int]] = dict(start or {})
+    pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
         if len(pivot_rows) == ncols:
             break

@@ -41,15 +41,16 @@ multiplicity of the scheme.  The points of embed(Z, m) are Z's padded with
 zeros, so given ``target_dim`` m the functions below answer for embed(Z, m)
 from Z's points in m + 1 variables: no point is padded.
 
-The image's rows contain Z's rows of the same degree, lifted onto the
-old-variable columns, so an image rank resumes from Z's echelon form,
-which a memo of two entries holds (``_source_echelon``), and inserts only
-the image rows that are not lifted source rows.  Each skipped image row is
-compared entry by entry with the lifted source row of the same
-(component, alpha) label; if some source row has no equal image row, all
-image rows are eliminated in full.  Next to each image rank the memo
-records whether it resumed and no inserted row meets an old-variable
-column; ``restriction_ranks`` answers from the entries where both held.
+The image's rows are of two kinds: Z's rows of the same degree, lifted
+onto the old-variable columns, and rows with entries only in new-variable
+columns.  When the rows are seen to split that way, the image's matrix is
+block diagonal up to a column permutation, so its rank is Z's rank plus
+the rank of the other rows.  Each image row is compared entry by entry
+with the lifted source row of the same (component, alpha) label; if some
+source row has no equal image row, or some other image row meets an
+old-variable column, all image rows are eliminated in full.  Next to each
+image rank the memo records whether the split held; ``restriction_ranks``
+answers from the entries where it did.
 
 Monomials of a fixed degree are listed in graded-lexicographic order with
 X_0 > X_1 > ... > X_n, i.e. exponent vectors in descending lexicographic
@@ -282,35 +283,27 @@ def _old_columns(source_vars: int, image_vars: int, t: int) -> list[int]:
     return [index[beta] for beta in _monomials(source_vars, t)]
 
 
-@lru_cache(maxsize=2)
-def _source_echelon(scheme: FatPointScheme, t: int):
-    """The scheme's degree-t rows in its own space, by label, and the pivot
-    rows of their echelon form, by pivot column."""
-    n = scheme.ambient_dim
-    rows = {label: row for label, _, row in _labelled_rows(scheme, n, t)}
-    echelon, pivots = _echelon(rows.values(), binomial(t + n, n))
-    return rows, dict(zip(pivots, echelon))
-
-
 @lru_cache(maxsize=None)
 def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> tuple[int, bool]:
     """Rank of the degree-t conditions rows of the scheme's points in P^dim,
     and whether those rows certify ``restriction_ranks``.
 
-    The scheme's own rank is read from ``_source_echelon``.  For an image,
-    dim > n, the elimination resumes from the source echelon lifted onto
-    the old columns, and only the image rows that are not lifted source
-    rows are inserted.  This is exact with no identity assumed: each
-    skipped image row is compared entry by entry with the lifted source row
-    of the same label, and if any source row finds no equal image row, all
-    image rows are eliminated in full.  The certificate: the elimination
-    resumed, and no inserted row has an entry in an old-variable column.
+    The scheme's own rank, dim == n, is eliminated directly.  For an image,
+    dim > n, the rows split when two facts hold: (a) each lifted source row
+    is equal, entry by entry, to the image row of the same label, and (b)
+    every other image row has no entry in an old-variable column.  The
+    matrix is then block diagonal up to a column permutation, and its rank
+    is the source's rank, from this memo, plus the rank of the other rows;
+    that rank is certified.  If either fact fails, all image rows are
+    eliminated from scratch and the rank is not certified.
     """
-    source_rows, source_pivots = _source_echelon(scheme, t)
     n = scheme.ambient_dim
     if dim == n:
-        return len(source_pivots), True
+        # _echelon, not _rank_of_int_rows, which marks a from-scratch fallback
+        rows = (row for _, _, row in _labelled_rows(scheme, n, t))
+        return len(_echelon(rows, binomial(t + n, n))[1]), True
     old = _old_columns(n + 1, dim + 1, t)
+    source_rows = {label: row for label, _, row in _labelled_rows(scheme, n, t)}
     image_rows, rest = [], []
     for label, _, row in _labelled_rows(scheme, dim, t):
         image_rows.append(row)
@@ -320,13 +313,9 @@ def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> tuple[int, bool
         ):
             rest.append(row)
     ncols = binomial(t + dim, dim)
-    if len(image_rows) - len(rest) < len(source_rows):
+    if len(image_rows) - len(rest) < len(source_rows) or not all(map(set(old).isdisjoint, rest)):
         return _rank_of_int_rows(image_rows, ncols), False
-    start = {
-        old[col]: {old[c]: v for c, v in row.items()} for col, row in source_pivots.items()
-    }
-    certified = all(map(set(old).isdisjoint, rest))
-    return len(_echelon(rest, ncols, start)[1]), certified
+    return _rank_at_degree(scheme, n, t)[0] + len(_echelon(rest, ncols)[1]), True
 
 
 def hilbert_function(scheme: TruncatedScheme, t: int, target_dim: int | None = None) -> int:
@@ -356,8 +345,8 @@ def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[
     maps the image ideal into the source ideal.  ``restricted`` is the rank
     of the image's rows restricted to the old-variable columns.
 
-    The image's rank memo entry, warmed here if cold, records whether the
-    resumed elimination proved two facts about its rows: (a) every lifted
+    The image's rank memo entry, warmed here if cold, is certified when
+    ``_rank_at_degree`` saw two facts about its rows: (a) every lifted
     source row is literally an image row, so the stacked rows span the
     image rows' space and ``stacked`` is the image's H(t); (b) every other
     image row has no entry in an old-variable column, so, with (a), the

@@ -194,7 +194,10 @@ def make_scheme(ambient_dim: int, raw_components: Iterable[tuple[Sequence, int]]
                 f"points[{k}] has {len(coords)} coordinates, expected {ambient_dim + 1}"
             )
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            raise NonpositiveMultiplicity(f"multiplicity {mult!r} is not a positive integer")
+            raise NonpositiveMultiplicity(
+                f"points[{k}] has a multiplicity of type {type(mult).__name__} "
+                "that is not a positive integer"
+            )
         point = ProjectivePoint(coords)
         if point in seen:
             raise DuplicatePoint(f"points[{k}] equals points[{seen[point]}] after normalization")

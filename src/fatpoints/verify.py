@@ -329,10 +329,10 @@ def rnc_reg_formula(mults, n: int) -> int:
     matter; the list is sorted internally.
     """
     if n < 1:
-        raise SchemeFormatError(f"ambient dimension must be at least 1, got {n}")
-    for mi in mults:
+        raise SchemeFormatError("ambient dimension must be at least 1")
+    for k, mi in enumerate(mults):
         if mi < 1:
-            raise NonpositiveMultiplicity(f"multiplicity {mi!r} is not a positive integer")
+            raise NonpositiveMultiplicity(f"multiplicity {k} is not a positive integer")
     if len(mults) < 2:
         raise TooFewPoints("the formula references the two largest multiplicities")
     ordered = sorted(mults, reverse=True)

@@ -529,3 +529,34 @@ def test_bad_point_values_are_named_by_position_and_type_or_length(tmp_path, cap
         assert captured.err.startswith("fatpoints: error: " + expected[name])
         assert captured.err.count("\n") == 1
         assert len(captured.err.encode("utf-8")) < 200, captured.err[:200]
+
+
+def _one_short_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fatpoints: error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode("utf-8")) < 200, captured.err[:200]
+    return captured.err
+
+
+def test_bad_cap_and_multiplicity_lists_are_named_by_length(monkeypatch, triple_point_file, capsys):
+    # each bad value would print as a stderr line of about 100 KB
+    monkeypatch.setenv("FATPOINTS_COLUMN_CAP", "x" * 100_000)
+    assert main(["reg", "--scheme", triple_point_file]) == 1
+    assert "of 100000 characters" in _one_short_error_line(capsys)
+    monkeypatch.delenv("FATPOINTS_COLUMN_CAP")
+    for bad in ("1," + "x" * 100_000, "2," + "9" * 100_000):
+        for argv in (
+            ["rnc-formula", "--n", "2", "--mults", bad],
+            ["gen", "--n", "2", "--mults", bad, "--config", "generic", "--seed", "0"],
+        ):
+            assert main(argv) == 1
+            assert "multiplicity 1 (100000 characters)" in _one_short_error_line(capsys)
+    # a negative multiplicity of 4,000 digits is read, then refused by position
+    negative = "1,-" + "9" * 4000
+    for argv in (
+        ["rnc-formula", "--n", "2", "--mults", negative],
+        ["gen", "--n", "2", "--mults", negative, "--config", "generic", "--seed", "0"],
+    ):
+        assert main(argv) == 1
+        _one_short_error_line(capsys)

@@ -436,14 +436,17 @@ def _perturb_image_labelled_rows(perturb, target_dim):
     return rows
 
 
-@pytest.mark.parametrize("perturb", [_change_first_entry, _drop_first_row, _append_old_column_row])
-def test_restriction_fallback_when_certificate_fails(monkeypatch, perturb):
-    schemes = [
+def _fallback_schemes():
+    return [
         (make_scheme(1, [((1, 2), 2), ((1, -1), 1)]), 2),
         (make_scheme(2, [((1, 2, -1), 2), ((0, 1, 3), 1)]), 4),
         (gen_random(2, 3, [2, 1, 1], config="collinear", seed=5), 3),
     ]
-    for scheme, target_dim in schemes:
+
+
+@pytest.mark.parametrize("perturb", [_change_first_entry, _drop_first_row, _append_old_column_row])
+def test_restriction_fallback_when_certificate_fails(monkeypatch, perturb):
+    for scheme, target_dim in _fallback_schemes():
         for t in range(1, regularity_index(scheme) + 2):
             hook = _perturb_image_labelled_rows(perturb, target_dim)
             with monkeypatch.context() as mp:
@@ -601,9 +604,8 @@ def _image_miss(scheme, target_dim, t, mp):
     return hilbert_function(scheme, t, target_dim), calls
 
 
-def test_image_ranks_resume_from_the_source_echelon(monkeypatch):
+def test_image_ranks_add_the_source_rank_to_the_new_variable_rows(monkeypatch):
     shapes = [(1, [2, 1, 1]), (2, [2, 2, 1]), (3, [2, 1, 1])]
-    echelons = hilbert_mod._source_echelon
     for config in ("generic", "collinear", "rnc"):
         for seed, (n, mults) in enumerate(shapes):
             z = gen_random(n, len(mults), mults, config=config, seed=seed + 40)
@@ -612,22 +614,17 @@ def test_image_ranks_resume_from_the_source_echelon(monkeypatch):
                     rows, ncols = _conditions_int_rows(embed(z, m), m, t)
                     plain = _rank_of_int_rows(rows, ncols)
                     with monkeypatch.context() as mp:
-                        # cold: no source echelon is held
-                        echelons.cache_clear()
+                        # cold: the image's miss is also the source's
                         cold, calls = _image_miss(z, m, t, mp)
                         assert (cold, calls) == (plain, [])
-                        # warm: the source's H(t) left its echelon behind
-                        echelons.cache_clear()
+                        assert _memo_counts() == (0, 2)
+                        # warm: the source's H(t) is read from the memo
+                        hilbert_mod._rank_at_degree.cache_clear()
                         hilbert_function(z, t)
-                        hits = echelons.cache_info().hits
-                        warm, calls = _image_miss(z, m, t, mp)
+                        warm = hilbert_function(z, t, m)
                         assert (warm, calls) == (plain, [])
-                        assert echelons.cache_info().hits == hits + 1
-                        # cleared between the source's call and the image's
-                        hilbert_function(z, t)
-                        echelons.cache_clear()
-                        cleared, calls = _image_miss(z, m, t, mp)
-                        assert (cleared, calls) == (plain, [])
+                        assert _memo_counts() == (1, 2)
+                        assert hilbert_mod._rank_at_degree(z, m, t) == (plain, True)
     hilbert_mod._rank_at_degree.cache_clear()
 
 
@@ -654,15 +651,10 @@ def _clear_row(row):
 
 
 def test_image_rank_falls_back_when_a_source_row_is_not_an_image_row(monkeypatch):
-    schemes = [
-        (make_scheme(1, [((1, 2), 2), ((1, -1), 1)]), 2),
-        (make_scheme(2, [((1, 2, -1), 2), ((0, 1, 3), 1)]), 4),
-        (gen_random(2, 3, [2, 1, 1], config="collinear", seed=5), 3),
-    ]
     cases = [
         (change, scheme, target_dim, t)
         for change in (_add_to_least_entry, _clear_row)
-        for scheme, target_dim in schemes
+        for scheme, target_dim in _fallback_schemes()
         for t in range(regularity_index(scheme) + 2)
     ]
     differs = False
@@ -671,14 +663,41 @@ def test_image_rank_falls_back_when_a_source_row_is_not_an_image_row(monkeypatch
         with monkeypatch.context() as mp:
             mp.setattr(hilbert_mod, "_labelled_rows", _perturb_source_labelled_row(change))
             rows = [row for _, _, row in hilbert_mod._labelled_rows(scheme, target_dim, t)]
-            hilbert_function(scheme, t)  # the source echelon is held, unperturbed
             got, calls = _image_miss(scheme, target_dim, t, mp)
         assert calls == [len(rows)]
         assert got == _rank_of_int_rows(rows, binomial(t + target_dim, target_dim))
         differs |= got != true_rank
-    # some perturbed rows have another rank, so a wrongly resumed
+    # some perturbed rows have another rank, so a wrongly split
     # elimination would be seen
     assert differs
+    hilbert_mod._rank_at_degree.cache_clear()
+
+
+def _append_first_row_again(rows):
+    # a copy of the first image row, the lift of the first source row,
+    # under a label of no source row: it meets old-variable columns, so it
+    # breaks (b) only
+    rows.append(((-1, ()), 1, dict(rows[0][2])))
+
+
+def test_image_rank_falls_back_when_another_row_meets_an_old_column(monkeypatch):
+    for scheme, target_dim in _fallback_schemes():
+        n = scheme.ambient_dim
+        for t in range(regularity_index(scheme) + 2):
+            old = hilbert_mod._old_columns(n + 1, target_dim + 1, t)
+            _, _, first = next(hilbert_mod._labelled_rows(scheme, n, t))
+            hook = _perturb_image_labelled_rows(_append_first_row_again, target_dim)
+            with monkeypatch.context() as mp:
+                mp.setattr(hilbert_mod, "_labelled_rows", hook)
+                rows = [row for _, _, row in hilbert_mod._labelled_rows(scheme, target_dim, t)]
+                assert rows[-1] == {old[c]: v for c, v in first.items()}
+                got, calls = _image_miss(scheme, target_dim, t, mp)
+                entry = hilbert_mod._rank_at_degree(scheme, target_dim, t)
+            # the copy adds nothing to the span; counting it as a block of
+            # its own would add one to the rank
+            assert calls == [len(rows)]
+            assert got == _rank_of_int_rows(rows, binomial(t + target_dim, target_dim))
+            assert entry == (got, False)
     hilbert_mod._rank_at_degree.cache_clear()
 
 
@@ -691,7 +710,7 @@ def test_old_column_map_increases_and_keeps_exponents():
         assert [image[c] for c in old] == [beta + pad for beta in monomial_basis(n + 1, t).exponents]
 
 
-def test_power_lists_and_source_echelons_stay_bounded():
+def test_power_lists_stay_bounded():
     z = gen_random(2, 3, [1, 1, 3], config="generic", seed=8)
     for t in range(41):
         hilbert_function(z, t)
@@ -699,5 +718,3 @@ def test_power_lists_and_source_echelons_stay_bounded():
     for point, mult in z.components:
         assert 1 <= len(point._powers) <= 2 * mult
     assert [len(p._powers) for p in z.points[:2]] == [2, 2]
-    info = hilbert_mod._source_echelon.cache_info()
-    assert info.maxsize == 2 and info.currsize <= info.maxsize

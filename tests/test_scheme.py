@@ -75,6 +75,17 @@ def test_make_scheme_input_errors():
         make_scheme(1, [])
 
 
+def test_bad_multiplicities_are_named_by_position_and_type():
+    # the values would print as a 300 KB message, or not at all: a
+    # 5,000-digit integer is over the interpreter's integer-string limit
+    for bad, kind in (([1] * 100_000, "list"), (-(10**5000), "int"), (True, "bool")):
+        with pytest.raises(NonpositiveMultiplicity) as got:
+            make_scheme(1, [((1, 0), 1), ((0, 1), bad)])
+        assert str(got.value) == (
+            f"points[1] has a multiplicity of type {kind} that is not a positive integer"
+        )
+
+
 def test_multiplicity_values():
     assert multiplicity(make_scheme(2, [((1, 0, 0), 2)])) == 3
     assert multiplicity(make_scheme(1, [((1, 0), 1), ((0, 1), 1)])) == 2
