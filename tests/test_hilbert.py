@@ -508,7 +508,7 @@ def test_restriction_ranks_warm_a_cleared_memo(monkeypatch):
         with monkeypatch.context() as mp:
             calls = _counting_eliminations(mp)
             got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
-        # the resumed image elimination certifies: nothing from scratch
+        # the split image rank certifies: nothing from scratch
         assert calls == []
         assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
         assert list(got) == [hilbert_function(scheme, t, target_dim), hilbert_function(scheme, t)]
