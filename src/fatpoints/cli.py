@@ -60,6 +60,13 @@ def _int_text(value: int) -> str:
         ) from None
 
 
+def _int_option(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # also a value over the interpreter's integer-string limit
+        raise argparse.ArgumentTypeError(f"a value of {len(text)} characters is not an integer")
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         print(text)
@@ -110,17 +117,11 @@ def _cmd_multiplicity(args) -> int:
     return 0
 
 
-def _refuse_coordinates(dim: int) -> None:
-    # each coordinate of P^dim is a column of the degree-1 conditions matrix
-    cap = hilbert_mod.COLUMN_CAP
-    if dim + 1 > cap:
-        raise ResourceLimit(f"degree 1 in P^{dim} needs {dim + 1} monomial columns (cap {cap})")
-
-
 def _cmd_embed(args) -> int:
     scheme = _load_scheme(args.scheme)
+    # each coordinate of P^dim is a column of the degree-1 conditions matrix
     if args.target_dim >= scheme.ambient_dim:  # a smaller target is embed's TargetTooSmall
-        _refuse_coordinates(args.target_dim)
+        hilbert_mod._cap_check(args.target_dim, 1)
     image = embed(scheme, args.target_dim)
     _write_output(scheme_to_json(image), args.output)
     return 0
@@ -128,7 +129,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_gen(args) -> int:
     mults = _parse_mults(args.mults)
-    _refuse_coordinates(args.n)
+    hilbert_mod._cap_check(args.n, 1)
     scheme = gen_random(args.n, len(mults), mults, config=args.config, seed=args.seed)
     _write_output(scheme_to_json(scheme), args.output)
     return 0
@@ -183,8 +184,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("hilbert", help="print Hilbert function values")
     p.add_argument("--scheme", required=True, help="scheme JSON file")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--t", type=int, help="single degree")
-    group.add_argument("--tmax", type=int, help="table for degrees 0..tmax")
+    group.add_argument("--t", type=_int_option, help="single degree")
+    group.add_argument("--tmax", type=_int_option, help="table for degrees 0..tmax")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_hilbert)
 
@@ -198,21 +199,21 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("embed", help="pad the scheme into a larger space")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--target-dim", type=int, required=True)
+    p.add_argument("--target-dim", type=_int_option, required=True)
     p.add_argument("-o", "--output", default=None, help="write scheme JSON here")
     p.set_defaults(handler=_cmd_embed)
 
     p = sub.add_parser("gen", help="generate a deterministic random scheme")
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
+    p.add_argument("--n", type=_int_option, required=True, help="ambient dimension")
     p.add_argument("--mults", required=True, help="comma list, e.g. 2,2,1")
     p.add_argument("--config", choices=("generic", "collinear", "rnc"), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_option, required=True)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("verify", help="run the identity checks")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--target-dim", type=int, required=True)
+    p.add_argument("--target-dim", type=_int_option, required=True)
     p.add_argument(
         "--checks",
         default=None,
@@ -227,7 +228,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("rnc-formula", help="closed-form regularity on the curve")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
     p.add_argument("--mults", required=True)
     p.set_defaults(handler=_cmd_rnc_formula)
 

@@ -48,9 +48,9 @@ block diagonal up to a column permutation, so its rank is Z's rank plus
 the rank of the other rows.  Each image row is compared entry by entry
 with the lifted source row of the same (component, alpha) label; if some
 source row has no equal image row, or some other image row meets an
-old-variable column, all image rows are eliminated in full.  Next to each
-image rank the memo records whether the split held; ``restriction_ranks``
-answers from the entries where it did.
+old-variable column, all image rows are eliminated in full.  Each memo
+entry also holds the two ranks of ``restriction_ranks``, read off the
+split or, where it failed, eliminated as defined from the same rows.
 
 Monomials of a fixed degree are listed in graded-lexicographic order with
 X_0 > X_1 > ... > X_n, i.e. exponent vectors in descending lexicographic
@@ -284,38 +284,47 @@ def _old_columns(source_vars: int, image_vars: int, t: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> tuple[int, bool]:
-    """Rank of the degree-t conditions rows of the scheme's points in P^dim,
-    and whether those rows certify ``restriction_ranks``.
+def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> tuple[int, int, int]:
+    """Ranks ``(H, stacked, restricted)`` of the degree-t conditions rows
+    of the scheme's points in P^dim, the last two as ``restriction_ranks``
+    defines them.
 
-    The scheme's own rank, dim == n, is eliminated directly.  For an image,
-    dim > n, the rows split when two facts hold: (a) each lifted source row
-    is equal, entry by entry, to the image row of the same label, and (b)
-    every other image row has no entry in an old-variable column.  The
-    matrix is then block diagonal up to a column permutation, and its rank
-    is the source's rank, from this memo, plus the rank of the other rows;
-    that rank is certified.  If either fact fails, all image rows are
-    eliminated from scratch and the rank is not certified.
+    The scheme's own rank, dim == n, is eliminated directly and is all
+    three.  For an image, dim > n, the rows split when two facts hold: (a)
+    each lifted source row is equal to the image row of the same label, and
+    (b) every other image row has no entry in an old-variable column.  Then
+    the matrix is block diagonal up to a column permutation, so H is the
+    source's rank, from this memo, plus the rank of the other rows; by (a)
+    ``stacked`` is H, and by (a) and (b) ``restricted`` is the source's
+    rank.  If either fact fails, the image, stacked and restricted rows are
+    each eliminated from scratch.
     """
     n = scheme.ambient_dim
     if dim == n:
         # _echelon, not _rank_of_int_rows, which marks a from-scratch fallback
         rows = (row for _, _, row in _labelled_rows(scheme, n, t))
-        return len(_echelon(rows, binomial(t + n, n))[1]), True
+        rank = len(_echelon(rows, binomial(t + n, n))[1])
+        return rank, rank, rank
     old = _old_columns(n + 1, dim + 1, t)
-    source_rows = {label: row for label, _, row in _labelled_rows(scheme, n, t)}
+    source_rows = _labelled_rows(scheme, n, t)
+    lifted = {label: {old[c]: v for c, v in row.items()} for label, _, row in source_rows}
     image_rows, rest = [], []
     for label, _, row in _labelled_rows(scheme, dim, t):
         image_rows.append(row)
-        source = source_rows.get(label)
-        if source is None or len(source) != len(row) or any(
-            row.get(old[c]) != v for c, v in source.items()
-        ):
+        if lifted.get(label) != row:
             rest.append(row)
     ncols = binomial(t + dim, dim)
-    if len(image_rows) - len(rest) < len(source_rows) or not all(map(set(old).isdisjoint, rest)):
-        return _rank_of_int_rows(image_rows, ncols), False
-    return _rank_at_degree(scheme, n, t)[0] + len(_echelon(rest, ncols)[1]), True
+    if len(image_rows) - len(rest) < len(lifted) or not all(map(set(old).isdisjoint, rest)):
+        position = {c: k for k, c in enumerate(old)}
+        restricted = [{position[c]: v for c, v in r.items() if c in position} for r in image_rows]
+        return (
+            _rank_of_int_rows(image_rows, ncols),
+            _rank_of_int_rows(image_rows + list(lifted.values()), ncols),
+            _rank_of_int_rows(restricted, len(old)),
+        )
+    source = _rank_at_degree(scheme, n, t)[0]
+    rank = source + len(_echelon(rest, ncols)[1])
+    return rank, rank, source
 
 
 def hilbert_function(scheme: TruncatedScheme, t: int, target_dim: int | None = None) -> int:
@@ -343,30 +352,11 @@ def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[
     source's rows appended, lifted onto the old-variable columns; it equals
     the image's H(t) exactly when substituting zeros for the new variables
     maps the image ideal into the source ideal.  ``restricted`` is the rank
-    of the image's rows restricted to the old-variable columns.
-
-    The image's rank memo entry, warmed here if cold, is certified when
-    ``_rank_at_degree`` saw two facts about its rows: (a) every lifted
-    source row is literally an image row, so the stacked rows span the
-    image rows' space and ``stacked`` is the image's H(t); (b) every other
-    image row has no entry in an old-variable column, so, with (a), the
-    restricted rows are the source rows plus zero rows and ``restricted``
-    is the source's H(t).  When both hold, both ranks come from the memo;
-    otherwise both are eliminated as defined.
+    of the image's rows restricted to the old-variable columns.  Both are
+    read from the image's rank memo entry, warmed here if cold.
     """
     _cap_check(_image_dim(scheme, target_dim), t)
-    n = scheme.ambient_dim
-    stacked, certified = _rank_at_degree(scheme, target_dim, t)
-    if certified:
-        return stacked, _rank_at_degree(scheme, n, t)[0]
-    image_rows, ncols = _conditions_int_rows(scheme, target_dim, t)
-    source_rows, source_cols = _conditions_int_rows(scheme, n, t)
-    old_cols = _old_columns(n + 1, target_dim + 1, t)
-    lifted = [{old_cols[c]: v for c, v in row.items()} for row in source_rows]
-    position = {c: k for k, c in enumerate(old_cols)}
-    restricted = [{position[c]: v for c, v in row.items() if c in position} for row in image_rows]
-    stacked = _rank_of_int_rows(image_rows + lifted, ncols)
-    return stacked, _rank_of_int_rows(restricted, source_cols)
+    return _rank_at_degree(scheme, target_dim, t)[1:]
 
 
 def regularity_index(scheme: FatPointScheme, target_dim: int | None = None) -> int:

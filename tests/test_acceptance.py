@@ -194,23 +194,25 @@ def test_criterion_06_prop44_and_displayed_variant(corpus, announce):
 
 def test_criterion_07_restriction(corpus, announce, monkeypatch):
     started = time.monotonic()
-    builds = []
-    real_builder = hilbert_mod._conditions_int_rows
+    calls = []
+    real_rank = hilbert_mod._rank_of_int_rows
 
-    def counted(scheme, dim, t):
-        builds.append((dim, t))
-        return real_builder(scheme, dim, t)
+    def counted(rows, ncols):
+        calls.append((len(rows), ncols))
+        return real_rank(rows, ncols)
 
-    # only a restriction case that the rank memo does not certify builds
-    # rows here: its image's and its source's
-    monkeypatch.setattr(hilbert_mod, "_conditions_int_rows", counted)
+    # an image's memo miss whose rows do not split eliminates its own, the
+    # stacked and the restricted rows from scratch; the memo is cleared so
+    # that every case here is a miss
+    hilbert_mod._rank_at_degree.cache_clear()
+    monkeypatch.setattr(hilbert_mod, "_rank_of_int_rows", counted)
     cases = 0
     for entry in corpus:
         report = check_restriction_range(entry.scheme, entry.target_dim)
         assert report.passed, (entry, report)
         cases += len(report.records) // 2
-    fallbacks = len(builds) // 2
-    assert fallbacks == 0, builds
+    fallbacks = len(calls) // 3
+    assert calls == [], calls
     announce(
         f"criterion 7 (restriction membership and dimension; {cases - fallbacks} of {cases} "
         f"cases certified): PASS in {time.monotonic() - started:.1f}s"

@@ -560,3 +560,33 @@ def test_bad_cap_and_multiplicity_lists_are_named_by_length(monkeypatch, triple_
     ):
         assert main(argv) == 1
         _one_short_error_line(capsys)
+
+
+def test_bad_integer_options_are_named_by_length(triple_point_file, capsys):
+    # argparse's own int conversion would echo the whole value: 100 KB of
+    # stderr, or 5 KB for a number over the integer-string limit
+    scheme = ["--scheme", triple_point_file]
+    gen = ["gen", "--n", "2", "--mults", "1,1", "--config", "generic", "--seed", "0"]
+    cases = [
+        ("--t", ["hilbert", *scheme, "--t", "0"]),
+        ("--tmax", ["hilbert", *scheme, "--tmax", "0"]),
+        ("--target-dim", ["embed", *scheme, "--target-dim", "2"]),
+        ("--target-dim", ["verify", *scheme, "--target-dim", "2"]),
+        ("--n", ["rnc-formula", "--n", "2", "--mults", "2,2"]),
+        ("--n", gen),
+        ("--seed", gen),
+    ]
+    for option, argv in cases:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        for bad in ("x" * 100_000, "-" + "9" * 5_000):
+            bad_argv = list(argv)
+            bad_argv[bad_argv.index(option) + 1] = bad
+            assert main(bad_argv) == 1, bad_argv[:2]
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            *usage, line = captured.err.splitlines()
+            assert usage and all(row.startswith(("usage: ", " ")) for row in usage)
+            message = f"a value of {len(bad)} characters is not an integer"
+            assert line.endswith(f": error: argument {option}: {message}"), line[:200]
+            assert len(line.encode("utf-8")) < 200

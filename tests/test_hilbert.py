@@ -233,13 +233,19 @@ def test_hilbert_matches_naive_oracle():
 def test_single_fat_point_closed_form():
     rng = random.Random(12)
     for n in (1, 2, 3):
-        for m in (1, 2, 3, 4):
+        for mult in (1, 2, 3, 4):
             coords = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n + 1))
             if all(c == 0 for c in coords):
                 coords = tuple([1] + [0] * n)
-            z = _single(n, m, coords)
-            for t in range(m + 2):
-                assert hilbert_function(z, t) == single_point_hilbert(n, m, t)
+            z = _single(n, mult, coords)
+            for t in range(mult + 2):
+                assert hilbert_function(z, t) == single_point_hilbert(n, mult, t)
+                # the image of one fat point is one fat point of P^m
+                for m in range(n + 1, n + 4):
+                    image = single_point_hilbert(m, mult, t)
+                    assert hilbert_function(z, t, m) == image
+                    source = single_point_hilbert(n, mult, t)
+                    assert hilbert_mod.restriction_ranks(z, m, t) == (image, source)
     # a 60-fold point: rows with |alpha| > t are empty and never built
     z = _single(3, 60)
     assert len(_conditions_int_rows(z, 3, 1)[0]) == 5
@@ -372,7 +378,7 @@ def test_safety_cap_flags_broken_hilbert_values(monkeypatch):
 
     # a Hilbert function that never reaches the multiplicity must trip the
     # scan bound instead of looping
-    monkeypatch.setattr(hilbert_mod, "_rank_at_degree", lambda scheme, dim, t: (0, True))
+    monkeypatch.setattr(hilbert_mod, "_rank_at_degree", lambda scheme, dim, t: (0, 0, 0))
     with pytest.raises(InternalBoundViolation):
         regularity_index(_single(2, 2))
 
@@ -390,6 +396,19 @@ def _plain_restriction_rows(scheme, target_dim, t):
     stacked = image_rows + [{old[c]: v for c, v in row.items()} for row in source_rows]
     restricted = [{old.index(c): v for c, v in row.items() if c in old} for row in image_rows]
     return (stacked, ncols), (restricted, source_cols)
+
+
+def _definitional_matrices(scheme, target_dim, t):
+    """The image's rows, then the stacked and the restricted rows, each with
+    its width: the three matrices of an image's rank memo entry."""
+    image = hilbert_mod._conditions_int_rows(embed(scheme, target_dim), target_dim, t)
+    return [image, *_plain_restriction_rows(scheme, target_dim, t)]
+
+
+def _assert_definitional_ranks(got, matrices):
+    assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in matrices]
+    if matrices[0][1] <= 40:
+        assert list(got) == [naive_rank(_dense(rows, ncols)) for rows, ncols in matrices]
 
 
 def _counting_eliminations(mp):
@@ -451,16 +470,18 @@ def test_restriction_fallback_when_certificate_fails(monkeypatch, perturb):
             hook = _perturb_image_labelled_rows(perturb, target_dim)
             with monkeypatch.context() as mp:
                 mp.setattr(hilbert_mod, "_labelled_rows", hook)
-                plain = _plain_restriction_rows(scheme, target_dim, t)
-                # the memo entry of the perturbed image rows carries no certificate
+                matrices = _definitional_matrices(scheme, target_dim, t)
+                # the memo miss of the perturbed image rows eliminates the
+                # image, the stacked and the restricted rows from scratch
                 hilbert_mod._rank_at_degree.cache_clear()
-                hilbert_function(scheme, t, target_dim)
                 calls = _counting_eliminations(mp)
+                h = hilbert_function(scheme, t, target_dim)
+                assert len(calls) == 3
+                calls.clear()
+                builds = _counting_row_builds(mp)
                 got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
-            assert len(calls) == 2
-            assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
-            if plain[0][1] <= 40:
-                assert list(got) == [naive_rank(_dense(rows, ncols)) for rows, ncols in plain]
+            assert (calls, builds) == ([], [])
+            _assert_definitional_ranks((h, *got), matrices)
     hilbert_mod._rank_at_degree.cache_clear()
 
 
@@ -489,10 +510,8 @@ def _restriction_cases():
 def test_restriction_certified_from_warm_memo(monkeypatch):
     for scheme, target_dim, t in _restriction_cases():
         plain = _plain_restriction_rows(scheme, target_dim, t)
-        # the certificate answers from the memo entries of H(t) and of the
-        # image's H(t), asked for by target_dim
-        for dim in (None, target_dim):
-            hilbert_function(scheme, t, dim)
+        # both ranks are read from the memo entry of the image's H(t)
+        hilbert_function(scheme, t, target_dim)
         with monkeypatch.context() as mp:
             calls = _counting_eliminations(mp)
             builds = _counting_row_builds(mp)
@@ -508,7 +527,7 @@ def test_restriction_ranks_warm_a_cleared_memo(monkeypatch):
         with monkeypatch.context() as mp:
             calls = _counting_eliminations(mp)
             got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
-        # the split image rank certifies: nothing from scratch
+        # the image's rows split: nothing from scratch
         assert calls == []
         assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
         assert list(got) == [hilbert_function(scheme, t, target_dim), hilbert_function(scheme, t)]
@@ -624,21 +643,23 @@ def test_image_ranks_add_the_source_rank_to_the_new_variable_rows(monkeypatch):
                         warm = hilbert_function(z, t, m)
                         assert (warm, calls) == (plain, [])
                         assert _memo_counts() == (1, 2)
-                        assert hilbert_mod._rank_at_degree(z, m, t) == (plain, True)
+                        entry = hilbert_mod._rank_at_degree(z, m, t)
+                        assert entry == (plain, plain, hilbert_function(z, t))
     hilbert_mod._rank_at_degree.cache_clear()
 
 
-def _perturb_source_labelled_row(change):
-    real_rows = hilbert_mod._labelled_rows
+def _perturb_source_labelled_row(change, target_dim):
+    def perturb(rows):
+        # component 1 is a simple point in every scheme below
+        k = next(k for k, (label, _, _) in enumerate(rows) if label == (1, ()))
+        label, scale, row = rows[k]
+        rows[k] = (label, scale, change(row))
 
-    def rows(scheme, dim, t):
-        for label, scale, row in real_rows(scheme, dim, t):
-            # component 1 is a simple point in every scheme below
-            if dim > scheme.ambient_dim and label == (1, ()):
-                row = change(dict(row))
-            yield label, scale, row
+    return _perturb_image_labelled_rows(perturb, target_dim)
 
-    return rows
+
+def _source_row_count(scheme, t):
+    return sum(1 for _ in hilbert_mod._labelled_rows(scheme, scheme.ambient_dim, t))
 
 
 def _add_to_least_entry(row):
@@ -661,11 +682,16 @@ def test_image_rank_falls_back_when_a_source_row_is_not_an_image_row(monkeypatch
     for change, scheme, target_dim, t in cases:
         true_rank = hilbert_function(scheme, t, target_dim)
         with monkeypatch.context() as mp:
-            mp.setattr(hilbert_mod, "_labelled_rows", _perturb_source_labelled_row(change))
+            hook = _perturb_source_labelled_row(change, target_dim)
+            mp.setattr(hilbert_mod, "_labelled_rows", hook)
             rows = [row for _, _, row in hilbert_mod._labelled_rows(scheme, target_dim, t)]
+            matrices = _definitional_matrices(scheme, target_dim, t)
             got, calls = _image_miss(scheme, target_dim, t, mp)
-        assert calls == [len(rows)]
+            entry = hilbert_mod._rank_at_degree(scheme, target_dim, t)
+        assert calls == [len(rows), len(rows) + _source_row_count(scheme, t), len(rows)]
         assert got == _rank_of_int_rows(rows, binomial(t + target_dim, target_dim))
+        assert entry[0] == got
+        _assert_definitional_ranks(entry, matrices)
         differs |= got != true_rank
     # some perturbed rows have another rank, so a wrongly split
     # elimination would be seen
@@ -691,13 +717,15 @@ def test_image_rank_falls_back_when_another_row_meets_an_old_column(monkeypatch)
                 mp.setattr(hilbert_mod, "_labelled_rows", hook)
                 rows = [row for _, _, row in hilbert_mod._labelled_rows(scheme, target_dim, t)]
                 assert rows[-1] == {old[c]: v for c, v in first.items()}
+                matrices = _definitional_matrices(scheme, target_dim, t)
                 got, calls = _image_miss(scheme, target_dim, t, mp)
                 entry = hilbert_mod._rank_at_degree(scheme, target_dim, t)
             # the copy adds nothing to the span; counting it as a block of
             # its own would add one to the rank
-            assert calls == [len(rows)]
+            assert calls == [len(rows), len(rows) + _source_row_count(scheme, t), len(rows)]
             assert got == _rank_of_int_rows(rows, binomial(t + target_dim, target_dim))
-            assert entry == (got, False)
+            assert entry[0] == got
+            _assert_definitional_ranks(entry, matrices)
     hilbert_mod._rank_at_degree.cache_clear()
 
 
