@@ -1,6 +1,15 @@
 """Exception types shared across the package."""
 
 
+def _brief(value: int) -> str:
+    """An integer for an error message: in full up to 64 bits, else named
+    by its bit length, so that the message stays one short line."""
+    if value.bit_length() <= 64:
+        return str(value)
+    sign = "negative " if value < 0 else ""
+    return f"({sign}{value.bit_length()}-bit integer)"
+
+
 class FatpointsError(Exception):
     """Base class for every error raised by this package."""
 
@@ -23,6 +32,13 @@ class DimensionMismatch(FatpointsError):
 
 class TargetTooSmall(FatpointsError):
     """The target dimension of an embedding is below the source dimension."""
+
+    def __init__(self, target_dim: int, ambient_dim: int, relation: str = "is below"):
+        super().__init__(target_dim, ambient_dim, relation)
+
+    def __str__(self):
+        target_dim, ambient_dim, relation = self.args
+        return f"target dimension {_brief(target_dim)} {relation} ambient {ambient_dim}"
 
 
 class ZeroParameter(FatpointsError):

@@ -43,14 +43,13 @@ from Z's points in m + 1 variables: no point is padded.
 
 The image's rows are of two kinds: Z's rows of the same degree, lifted
 onto the old-variable columns, and rows with entries only in new-variable
-columns.  When the rows are seen to split that way, the image's matrix is
-block diagonal up to a column permutation, so its rank is Z's rank plus
-the rank of the other rows.  Each image row is compared entry by entry
-with the lifted source row of the same (component, alpha) label; if some
-source row has no equal image row, or some other image row meets an
-old-variable column, all image rows are eliminated in full.  Each memo
-entry also holds the two ranks of ``restriction_ranks``, read off the
-split or, where it failed, eliminated as defined from the same rows.
+columns.  So the image's matrix is block diagonal up to a column
+permutation, and its rank is Z's rank plus the rank of the other rows.
+Each image row is compared entry by entry with the lifted source row of
+the same (component, alpha) label; if some source row has no equal image
+row, or some other image row meets an old-variable column, the row
+builder contradicts itself and InternalBoundViolation is raised.  The two
+ranks of ``restriction_ranks`` are the image's and Z's memo values.
 
 Monomials of a fixed degree are listed in graded-lexicographic order with
 X_0 > X_1 > ... > X_n, i.e. exponent vectors in descending lexicographic
@@ -65,8 +64,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit
-from .exactlinalg import Matrix, binomial, _echelon, _rank_of_int_rows
+from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit, _brief
+from .exactlinalg import Matrix, binomial, _rank_of_int_rows
 from .scheme import FatPointScheme, TruncatedScheme, UnitIdeal, _image_dim, multiplicity
 
 __all__ = [
@@ -233,21 +232,14 @@ def _labelled_rows(scheme: FatPointScheme, dim: int, t: int):
                 yield (ci, alpha), scale, dict(zip(columns, map(mul, coefficients, powers)))
 
 
-def _conditions_int_rows(scheme: FatPointScheme, dim: int, t: int):
-    """Sparse integer rows of the degree-t conditions matrix of the scheme's
-    points in P^dim, and its width."""
-    rows = [row for _, _, row in _labelled_rows(scheme, dim, t)]
-    return rows, binomial(t + dim, dim)
-
-
 def _cap_check(ambient_dim: int, t: int) -> None:
     if t < 0:
-        raise DegreeOutOfRange(f"degree must be nonnegative, got {t}")
+        raise DegreeOutOfRange(f"degree must be nonnegative, got {_brief(t)}")
     cols = binomial(t + ambient_dim, ambient_dim)
     if cols > COLUMN_CAP:
         raise ResourceLimit(
-            f"degree {t} in P^{ambient_dim} needs {cols} monomial columns "
-            f"(cap {COLUMN_CAP})"
+            f"degree {_brief(t)} in P^{_brief(ambient_dim)} needs {_brief(cols)} monomial "
+            f"columns (cap {_brief(COLUMN_CAP)})"
         )
 
 
@@ -284,47 +276,34 @@ def _old_columns(source_vars: int, image_vars: int, t: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> tuple[int, int, int]:
-    """Ranks ``(H, stacked, restricted)`` of the degree-t conditions rows
-    of the scheme's points in P^dim, the last two as ``restriction_ranks``
-    defines them.
+def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> int:
+    """Rank of the degree-t conditions rows of the scheme's points in P^dim.
 
-    The scheme's own rank, dim == n, is eliminated directly and is all
-    three.  For an image, dim > n, the rows split when two facts hold: (a)
-    each lifted source row is equal to the image row of the same label, and
-    (b) every other image row has no entry in an old-variable column.  Then
-    the matrix is block diagonal up to a column permutation, so H is the
-    source's rank, from this memo, plus the rank of the other rows; by (a)
-    ``stacked`` is H, and by (a) and (b) ``restricted`` is the source's
-    rank.  If either fact fails, the image, stacked and restricted rows are
-    each eliminated from scratch.
+    The scheme's own rank, dim == n, is eliminated directly.  For an image,
+    dim > n, the rows split by two facts: (a) each lifted source row is
+    equal to the image row of the same label, and (b) every other image row
+    has no entry in an old-variable column.  So the matrix is block
+    diagonal up to a column permutation, and its rank is the source's, from
+    this memo, plus the rank of the other rows.  Both facts hold by how the
+    rows are built: a failure of either is a bug in the row builder and
+    raises InternalBoundViolation.
     """
     n = scheme.ambient_dim
     if dim == n:
-        # _echelon, not _rank_of_int_rows, which marks a from-scratch fallback
         rows = (row for _, _, row in _labelled_rows(scheme, n, t))
-        rank = len(_echelon(rows, binomial(t + n, n))[1])
-        return rank, rank, rank
+        return _rank_of_int_rows(rows, binomial(t + n, n))
     old = _old_columns(n + 1, dim + 1, t)
     source_rows = _labelled_rows(scheme, n, t)
     lifted = {label: {old[c]: v for c, v in row.items()} for label, _, row in source_rows}
-    image_rows, rest = [], []
+    matched, rest = 0, []
     for label, _, row in _labelled_rows(scheme, dim, t):
-        image_rows.append(row)
-        if lifted.get(label) != row:
+        if lifted.get(label) == row:
+            matched += 1
+        else:
             rest.append(row)
-    ncols = binomial(t + dim, dim)
-    if len(image_rows) - len(rest) < len(lifted) or not all(map(set(old).isdisjoint, rest)):
-        position = {c: k for k, c in enumerate(old)}
-        restricted = [{position[c]: v for c, v in r.items() if c in position} for r in image_rows]
-        return (
-            _rank_of_int_rows(image_rows, ncols),
-            _rank_of_int_rows(image_rows + list(lifted.values()), ncols),
-            _rank_of_int_rows(restricted, len(old)),
-        )
-    source = _rank_at_degree(scheme, n, t)[0]
-    rank = source + len(_echelon(rest, ncols)[1])
-    return rank, rank, source
+    if matched < len(lifted) or not all(map(set(old).isdisjoint, rest)):
+        raise InternalBoundViolation(f"the degree-{t} image rows in P^{dim} do not split")
+    return _rank_at_degree(scheme, n, t) + _rank_of_int_rows(rest, binomial(t + dim, dim))
 
 
 def hilbert_function(scheme: TruncatedScheme, t: int, target_dim: int | None = None) -> int:
@@ -334,7 +313,7 @@ def hilbert_function(scheme: TruncatedScheme, t: int, target_dim: int | None = N
     _cap_check(dim, t)
     if isinstance(scheme, UnitIdeal):
         return 0
-    return _rank_at_degree(scheme, dim, t)[0]
+    return _rank_at_degree(scheme, dim, t)
 
 
 def ideal_dim(scheme: TruncatedScheme, t: int, target_dim: int | None = None) -> int:
@@ -353,10 +332,12 @@ def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[
     the image's H(t) exactly when substituting zeros for the new variables
     maps the image ideal into the source ideal.  ``restricted`` is the rank
     of the image's rows restricted to the old-variable columns.  Both are
-    read from the image's rank memo entry, warmed here if cold.
+    read from the rank memo, warmed here if cold: as the image's rows
+    split into the lifted source rows and rows that meet no old-variable
+    column, ``stacked`` is the image's H(t) and ``restricted`` the source's.
     """
     _cap_check(_image_dim(scheme, target_dim), t)
-    return _rank_at_degree(scheme, target_dim, t)[1:]
+    return _rank_at_degree(scheme, target_dim, t), _rank_at_degree(scheme, scheme.ambient_dim, t)
 
 
 def regularity_index(scheme: FatPointScheme, target_dim: int | None = None) -> int:

@@ -36,6 +36,7 @@ from .errors import (
     TargetTooSmall,
     ZeroParameter,
     ZeroPoint,
+    _brief,
 )
 from .exactlinalg import binomial
 
@@ -191,7 +192,7 @@ def make_scheme(ambient_dim: int, raw_components: Iterable[tuple[Sequence, int]]
         coords = tuple(coords)
         if len(coords) != ambient_dim + 1:
             raise DimensionMismatch(
-                f"points[{k}] has {len(coords)} coordinates, expected {ambient_dim + 1}"
+                f"points[{k}] has {len(coords)} coordinates, expected {_brief(ambient_dim + 1)}"
             )
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise NonpositiveMultiplicity(
@@ -213,7 +214,7 @@ def _image_dim(scheme: TruncatedScheme, target_dim: int | None) -> int:
     own for None.  A target below the scheme's is refused."""
     n = scheme.ambient_dim
     if target_dim is not None and target_dim < n:
-        raise TargetTooSmall(f"target dimension {target_dim} is below ambient {n}")
+        raise TargetTooSmall(target_dim, n)
     return n if target_dim is None else target_dim
 
 

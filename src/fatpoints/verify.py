@@ -89,9 +89,9 @@ def _require_target(scheme: FatPointScheme, target_dim: int, larger: bool = True
     """Refuse a target below the ambient dimension, or equal to it if larger."""
     n = scheme.ambient_dim
     if larger and target_dim <= n:
-        raise TargetTooSmall(f"target dimension {target_dim} must exceed ambient {n}")
+        raise TargetTooSmall(target_dim, n, "must exceed")
     if target_dim < n:
-        raise TargetTooSmall(f"target dimension {target_dim} is below ambient {n}")
+        raise TargetTooSmall(target_dim, n)
 
 
 def check_reg_invariance(scheme: FatPointScheme, target_dim: int) -> VerificationReport:

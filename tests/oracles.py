@@ -120,3 +120,29 @@ def naive_multiplicity(n: int, mults) -> int:
 def single_point_hilbert(n: int, m: int, t: int) -> int:
     """Closed form for one fat point: C(min(t, m-1) + n, n)."""
     return math.comb(min(t, m - 1) + n, n)
+
+
+def line_points_hilbert(mults, t: int) -> int:
+    """Closed form for distinct fat points of P^1: min(t + 1, sum m_i).
+
+    The ideal is principal, generated by the product of the points' linear
+    forms raised to their multiplicities.
+    """
+    return min(t + 1, sum(mults))
+
+
+def general_position_hilbert(n: int, mults, t: int) -> int:
+    """Closed form for s <= n + 1 fat points of P^n in linearly general
+    position: C(t+n, n) - #{|beta| = t : beta_i <= t - m_i for all i < s}.
+
+    A change of coordinates moves the points to the first s coordinate
+    points, whose fat-point ideal is monomial: X^beta vanishes to order m_i
+    at the i-th of them exactly when the other exponents sum to at least
+    m_i, i.e. beta_i <= t - m_i.
+    """
+    vanishing = sum(
+        1
+        for beta in monomials(n + 1, t)
+        if all(beta[i] <= t - m for i, m in enumerate(mults))
+    )
+    return math.comb(t + n, n) - vanishing

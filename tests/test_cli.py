@@ -507,6 +507,37 @@ def test_point_errors_name_positions_not_coordinates(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+def test_huge_values_are_named_by_bit_length(tmp_path, capsys):
+    # values of 4,000 digits parse, but printed whole they make 4 to 8 KB
+    # lines, and C(t+2, 2) for such a t is over the integer-string limit
+    big, negative = "9" * 4000, "-" + "9" * 4000
+    double = tmp_path / "double.json"
+    double.write_text(scheme_to_json(make_scheme(2, [((1, 2, 3), 2)])))
+    wide = tmp_path / "wide.json"
+    point = '{"coords": ["1", "2"], "multiplicity": 1}'
+    wide.write_text(f'{{"ambient_dim": {big}, "points": [{point}]}}')
+    over_cap = [
+        ["hilbert", "--scheme", str(double), "--t", big],
+        ["gen", "--n", big, "--mults", "2,1", "--config", "generic", "--seed", "0"],
+        ["embed", "--scheme", str(double), "--target-dim", big],
+        ["verify", "--scheme", str(double), "--target-dim", big],
+    ]
+    bad = [
+        ["hilbert", "--scheme", str(double), "--t", negative],
+        ["hilbert", "--scheme", str(double), "--tmax", negative],
+        ["embed", "--scheme", str(double), "--target-dim", negative],
+        ["verify", "--scheme", str(double), "--target-dim", negative],
+        ["reg", "--scheme", str(wide)],
+    ]
+    for argv, code in [(argv, 3) for argv in over_cap] + [(argv, 1) for argv in bad]:
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert len(captured.err.encode("utf-8")) < 200, captured.err[:200]
+        assert "-bit integer)" in captured.err, captured.err
+
+
 def test_bad_point_values_are_named_by_position_and_type_or_length(tmp_path, capsys):
     # each bad value would print as a stderr line of 100 to 500 KB
     point = {"coords": ["1", "0"], "multiplicity": 1}

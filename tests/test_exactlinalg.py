@@ -13,7 +13,7 @@ from fatpoints.exactlinalg import (
     nullspace_basis,
     rank,
 )
-from fatpoints.hilbert import _conditions_int_rows, conditions_matrix
+from fatpoints.hilbert import _labelled_rows, conditions_matrix
 from fatpoints.scheme import embed, gen_random, make_scheme
 
 from oracles import naive_nullspace, naive_rank
@@ -184,13 +184,18 @@ def _triple_point_schemes():
     return [coordinate, gen_random(2, 4, [3, 3, 3, 2], config="generic", seed=4)]
 
 
+def _int_rows(scheme, t):
+    n = scheme.ambient_dim
+    return [row for _, _, row in _labelled_rows(scheme, n, t)], binomial(t + n, n)
+
+
 def test_echelon_rows_are_primitive():
     # every row update divides by the gcd of the entries, so no echelon row
     # of a scheme or of its image keeps a common factor
     for z in _triple_point_schemes():
         for scheme in (z, embed(z, 4)):
             for t in range(1, 7):
-                echelon, pivots = _echelon(*_conditions_int_rows(scheme, scheme.ambient_dim, t))
+                echelon, pivots = _echelon(*_int_rows(scheme, t))
                 assert len(echelon) == len(pivots) > 0
                 for row in echelon:
                     assert math.gcd(*row.values()) == 1, (scheme.ambient_dim, t, row)
@@ -201,7 +206,7 @@ def test_echelon_pivots_increase_and_lead_their_rows():
     inputs = [(_sparse_int_rows(m), m.cols) for m in (_random_matrix(rng) for _ in range(200))]
     for z in _triple_point_schemes():
         for scheme in (z, embed(z, 3)):
-            inputs += [_conditions_int_rows(scheme, scheme.ambient_dim, t) for t in range(1, 6)]
+            inputs += [_int_rows(scheme, t) for t in range(1, 6)]
     for rows, ncols in inputs:
         echelon, pivots = _echelon(rows, ncols)
         assert all(a < b for a, b in zip(pivots, pivots[1:])), pivots

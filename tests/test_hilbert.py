@@ -6,9 +6,13 @@ from fractions import Fraction
 import pytest
 
 import fatpoints.hilbert as hilbert_mod
-from fatpoints.errors import DegreeOutOfRange, ResourceLimit, TargetTooSmall
+from fatpoints.errors import (
+    DegreeOutOfRange,
+    InternalBoundViolation,
+    ResourceLimit,
+    TargetTooSmall,
+)
 from fatpoints.hilbert import (
-    _conditions_int_rows,
     conditions_matrix,
     hilbert_function,
     hilbert_table,
@@ -28,7 +32,14 @@ from fatpoints.scheme import (
     truncate,
 )
 
-from oracles import monomials, naive_conditions_rows, naive_hilbert, naive_rank, single_point_hilbert
+from oracles import monomials, naive_conditions_rows, naive_hilbert, single_point_hilbert
+
+
+def _int_rows(scheme, dim, t):
+    """The degree-t conditions rows of the scheme's points in P^dim, and
+    their width."""
+    rows = [row for _, _, row in hilbert_mod._labelled_rows(scheme, dim, t)]
+    return rows, binomial(t + dim, dim)
 
 
 def _single(n, m, coords=None):
@@ -156,7 +167,7 @@ def _rows_and_ranks(schemes, degrees):
     out = []
     for z in schemes:
         for t in degrees:
-            rows, ncols = _conditions_int_rows(z, z.ambient_dim, t)
+            rows, ncols = _int_rows(z, z.ambient_dim, t)
             out.append((rows, _rank_of_int_rows(rows, ncols)))
     return out
 
@@ -248,7 +259,7 @@ def test_single_fat_point_closed_form():
                     assert hilbert_mod.restriction_ranks(z, m, t) == (image, source)
     # a 60-fold point: rows with |alpha| > t are empty and never built
     z = _single(3, 60)
-    assert len(_conditions_int_rows(z, 3, 1)[0]) == 5
+    assert len(_int_rows(z, 3, 1)[0]) == 5
     for t in range(3):
         assert hilbert_function(z, t) == binomial(t + 3, 3)
 
@@ -374,11 +385,9 @@ def test_unit_ideal_regularity_rejected():
 
 
 def test_safety_cap_flags_broken_hilbert_values(monkeypatch):
-    from fatpoints.errors import InternalBoundViolation
-
     # a Hilbert function that never reaches the multiplicity must trip the
     # scan bound instead of looping
-    monkeypatch.setattr(hilbert_mod, "_rank_at_degree", lambda scheme, dim, t: (0, 0, 0))
+    monkeypatch.setattr(hilbert_mod, "_rank_at_degree", lambda scheme, dim, t: 0)
     with pytest.raises(InternalBoundViolation):
         regularity_index(_single(2, 2))
 
@@ -388,8 +397,8 @@ def _plain_restriction_rows(scheme, target_dim, t):
     the current row builder with columns matched by exponent vector."""
     n = scheme.ambient_dim
     image = embed(scheme, target_dim)
-    image_rows, ncols = hilbert_mod._conditions_int_rows(image, target_dim, t)
-    source_rows, source_cols = hilbert_mod._conditions_int_rows(scheme, n, t)
+    image_rows, ncols = _int_rows(image, target_dim, t)
+    source_rows, source_cols = _int_rows(scheme, n, t)
     column = {beta: k for k, beta in enumerate(monomial_basis(target_dim + 1, t).exponents)}
     pad = (0,) * (target_dim - n)
     old = [column[beta + pad] for beta in monomial_basis(n + 1, t).exponents]
@@ -398,32 +407,16 @@ def _plain_restriction_rows(scheme, target_dim, t):
     return (stacked, ncols), (restricted, source_cols)
 
 
-def _definitional_matrices(scheme, target_dim, t):
-    """The image's rows, then the stacked and the restricted rows, each with
-    its width: the three matrices of an image's rank memo entry."""
-    image = hilbert_mod._conditions_int_rows(embed(scheme, target_dim), target_dim, t)
-    return [image, *_plain_restriction_rows(scheme, target_dim, t)]
-
-
-def _assert_definitional_ranks(got, matrices):
-    assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in matrices]
-    if matrices[0][1] <= 40:
-        assert list(got) == [naive_rank(_dense(rows, ncols)) for rows, ncols in matrices]
-
-
 def _counting_eliminations(mp):
     calls = []
 
     def counted(rows, ncols):
+        rows = list(rows)  # the source's rows come as a generator
         calls.append(len(rows))
         return _rank_of_int_rows(rows, ncols)
 
     mp.setattr(hilbert_mod, "_rank_of_int_rows", counted)
     return calls
-
-
-def _dense(rows, ncols):
-    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
 
 
 def _change_first_entry(rows):
@@ -442,6 +435,37 @@ def _append_old_column_row(rows):
     rows.append(((-1, ()), 1, {0: 1, 1: 10**9}))
 
 
+def _append_first_row_again(rows):
+    # a copy of the first image row, the lift of the first source row,
+    # under a label of no source row: it meets old-variable columns, so it
+    # breaks (b) only
+    rows.append(((-1, ()), 1, dict(rows[0][2])))
+
+
+def _add_to_least_entry(row):
+    # the row meets old-variable columns only: breaks (a) and (b)
+    row[min(row)] += 1
+    return row
+
+
+def _clear_row(row):
+    # breaks (a) only
+    return {}
+
+
+def _at_simple_point_row(change):
+    """Change the image row labelled as a simple point's source row."""
+
+    def perturb(rows):
+        # component 1 is a simple point in every scheme below
+        k = next(k for k, (label, _, _) in enumerate(rows) if label == (1, ()))
+        label, scale, row = rows[k]
+        rows[k] = (label, scale, change(row))
+
+    perturb.__name__ = change.__name__
+    return perturb
+
+
 def _perturb_image_labelled_rows(perturb, target_dim):
     real_rows = hilbert_mod._labelled_rows
 
@@ -455,7 +479,7 @@ def _perturb_image_labelled_rows(perturb, target_dim):
     return rows
 
 
-def _fallback_schemes():
+def _perturbed_schemes():
     return [
         (make_scheme(1, [((1, 2), 2), ((1, -1), 1)]), 2),
         (make_scheme(2, [((1, 2, -1), 2), ((0, 1, 3), 1)]), 4),
@@ -463,25 +487,38 @@ def _fallback_schemes():
     ]
 
 
-@pytest.mark.parametrize("perturb", [_change_first_entry, _drop_first_row, _append_old_column_row])
-def test_restriction_fallback_when_certificate_fails(monkeypatch, perturb):
-    for scheme, target_dim in _fallback_schemes():
-        for t in range(1, regularity_index(scheme) + 2):
+_PERTURBATIONS = [
+    _change_first_entry,
+    _drop_first_row,
+    _append_old_column_row,
+    _append_first_row_again,
+    _at_simple_point_row(_add_to_least_entry),
+    _at_simple_point_row(_clear_row),
+]
+
+
+@pytest.mark.parametrize("perturb", _PERTURBATIONS, ids=lambda perturb: perturb.__name__)
+def test_image_rows_that_do_not_split_raise(monkeypatch, perturb):
+    for scheme, target_dim in _perturbed_schemes():
+        image = embed(scheme, target_dim)
+        for t in range(regularity_index(scheme) + 2):
             hook = _perturb_image_labelled_rows(perturb, target_dim)
-            with monkeypatch.context() as mp:
-                mp.setattr(hilbert_mod, "_labelled_rows", hook)
-                matrices = _definitional_matrices(scheme, target_dim, t)
-                # the memo miss of the perturbed image rows eliminates the
-                # image, the stacked and the restricted rows from scratch
+            calls = [
+                lambda: hilbert_function(scheme, t, target_dim),
+                lambda: hilbert_mod.restriction_ranks(scheme, target_dim, t),
+            ]
+            for call in calls:
                 hilbert_mod._rank_at_degree.cache_clear()
-                calls = _counting_eliminations(mp)
-                h = hilbert_function(scheme, t, target_dim)
-                assert len(calls) == 3
-                calls.clear()
-                builds = _counting_row_builds(mp)
-                got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
-            assert (calls, builds) == ([], [])
-            _assert_definitional_ranks((h, *got), matrices)
+                with monkeypatch.context() as mp:
+                    mp.setattr(hilbert_mod, "_labelled_rows", hook)
+                    with pytest.raises(InternalBoundViolation):
+                        call()
+                # nothing was stored, so the true rows give the true rank
+                assert hilbert_mod._rank_at_degree.cache_info().currsize == 0
+                rows, ncols = _int_rows(image, target_dim, t)
+                assert hilbert_function(scheme, t, target_dim) == _rank_of_int_rows(rows, ncols)
+                if ncols <= 40:
+                    assert hilbert_function(scheme, t, target_dim) == naive_hilbert(image, t)
     hilbert_mod._rank_at_degree.cache_clear()
 
 
@@ -527,8 +564,8 @@ def test_restriction_ranks_warm_a_cleared_memo(monkeypatch):
         with monkeypatch.context() as mp:
             calls = _counting_eliminations(mp)
             got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
-        # the image's rows split: nothing from scratch
-        assert calls == []
+        # the image's rows split: the source's rows and the others
+        assert len(calls) == 2
         assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
         assert list(got) == [hilbert_function(scheme, t, target_dim), hilbert_function(scheme, t)]
 
@@ -616,8 +653,8 @@ def test_embedded_rows_take_memory_by_columns_not_variables():
 
 
 def _image_miss(scheme, target_dim, t, mp):
-    """The image's H(t) as a fresh rank-memo miss, with the calls of the
-    full eliminations counted."""
+    """The image's H(t) as a fresh rank-memo miss, with the row count of
+    each elimination recorded."""
     hilbert_mod._rank_at_degree.cache_clear()
     calls = _counting_eliminations(mp)
     return hilbert_function(scheme, t, target_dim), calls
@@ -630,103 +667,28 @@ def test_image_ranks_add_the_source_rank_to_the_new_variable_rows(monkeypatch):
             z = gen_random(n, len(mults), mults, config=config, seed=seed + 40)
             for m in (n + 1, n + 2, n + 3):
                 for t in range(regularity_index(z) + 2):
-                    rows, ncols = _conditions_int_rows(embed(z, m), m, t)
+                    rows, ncols = _int_rows(embed(z, m), m, t)
                     plain = _rank_of_int_rows(rows, ncols)
+                    source = _source_row_count(z, t)
                     with monkeypatch.context() as mp:
-                        # cold: the image's miss is also the source's
+                        # cold: the image's miss is also the source's, and
+                        # the source's rows are eliminated before the others
                         cold, calls = _image_miss(z, m, t, mp)
-                        assert (cold, calls) == (plain, [])
+                        assert (cold, calls) == (plain, [source, len(rows) - source])
                         assert _memo_counts() == (0, 2)
                         # warm: the source's H(t) is read from the memo
                         hilbert_mod._rank_at_degree.cache_clear()
                         hilbert_function(z, t)
+                        calls.clear()
                         warm = hilbert_function(z, t, m)
-                        assert (warm, calls) == (plain, [])
+                        assert (warm, calls) == (plain, [len(rows) - source])
                         assert _memo_counts() == (1, 2)
-                        entry = hilbert_mod._rank_at_degree(z, m, t)
-                        assert entry == (plain, plain, hilbert_function(z, t))
+                        assert hilbert_mod._rank_at_degree(z, m, t) == plain
     hilbert_mod._rank_at_degree.cache_clear()
-
-
-def _perturb_source_labelled_row(change, target_dim):
-    def perturb(rows):
-        # component 1 is a simple point in every scheme below
-        k = next(k for k, (label, _, _) in enumerate(rows) if label == (1, ()))
-        label, scale, row = rows[k]
-        rows[k] = (label, scale, change(row))
-
-    return _perturb_image_labelled_rows(perturb, target_dim)
 
 
 def _source_row_count(scheme, t):
     return sum(1 for _ in hilbert_mod._labelled_rows(scheme, scheme.ambient_dim, t))
-
-
-def _add_to_least_entry(row):
-    row[min(row)] += 1
-    return row
-
-
-def _clear_row(row):
-    return {}
-
-
-def test_image_rank_falls_back_when_a_source_row_is_not_an_image_row(monkeypatch):
-    cases = [
-        (change, scheme, target_dim, t)
-        for change in (_add_to_least_entry, _clear_row)
-        for scheme, target_dim in _fallback_schemes()
-        for t in range(regularity_index(scheme) + 2)
-    ]
-    differs = False
-    for change, scheme, target_dim, t in cases:
-        true_rank = hilbert_function(scheme, t, target_dim)
-        with monkeypatch.context() as mp:
-            hook = _perturb_source_labelled_row(change, target_dim)
-            mp.setattr(hilbert_mod, "_labelled_rows", hook)
-            rows = [row for _, _, row in hilbert_mod._labelled_rows(scheme, target_dim, t)]
-            matrices = _definitional_matrices(scheme, target_dim, t)
-            got, calls = _image_miss(scheme, target_dim, t, mp)
-            entry = hilbert_mod._rank_at_degree(scheme, target_dim, t)
-        assert calls == [len(rows), len(rows) + _source_row_count(scheme, t), len(rows)]
-        assert got == _rank_of_int_rows(rows, binomial(t + target_dim, target_dim))
-        assert entry[0] == got
-        _assert_definitional_ranks(entry, matrices)
-        differs |= got != true_rank
-    # some perturbed rows have another rank, so a wrongly split
-    # elimination would be seen
-    assert differs
-    hilbert_mod._rank_at_degree.cache_clear()
-
-
-def _append_first_row_again(rows):
-    # a copy of the first image row, the lift of the first source row,
-    # under a label of no source row: it meets old-variable columns, so it
-    # breaks (b) only
-    rows.append(((-1, ()), 1, dict(rows[0][2])))
-
-
-def test_image_rank_falls_back_when_another_row_meets_an_old_column(monkeypatch):
-    for scheme, target_dim in _fallback_schemes():
-        n = scheme.ambient_dim
-        for t in range(regularity_index(scheme) + 2):
-            old = hilbert_mod._old_columns(n + 1, target_dim + 1, t)
-            _, _, first = next(hilbert_mod._labelled_rows(scheme, n, t))
-            hook = _perturb_image_labelled_rows(_append_first_row_again, target_dim)
-            with monkeypatch.context() as mp:
-                mp.setattr(hilbert_mod, "_labelled_rows", hook)
-                rows = [row for _, _, row in hilbert_mod._labelled_rows(scheme, target_dim, t)]
-                assert rows[-1] == {old[c]: v for c, v in first.items()}
-                matrices = _definitional_matrices(scheme, target_dim, t)
-                got, calls = _image_miss(scheme, target_dim, t, mp)
-                entry = hilbert_mod._rank_at_degree(scheme, target_dim, t)
-            # the copy adds nothing to the span; counting it as a block of
-            # its own would add one to the rank
-            assert calls == [len(rows), len(rows) + _source_row_count(scheme, t), len(rows)]
-            assert got == _rank_of_int_rows(rows, binomial(t + target_dim, target_dim))
-            assert entry[0] == got
-            _assert_definitional_ranks(entry, matrices)
-    hilbert_mod._rank_at_degree.cache_clear()
 
 
 def test_old_column_map_increases_and_keeps_exponents():
