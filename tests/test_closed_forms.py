@@ -54,7 +54,6 @@ def test_points_in_general_position_and_their_images():
     checked = 0
     for z, mults in _general_position_schemes():
         n = z.ambient_dim
-        hilbert_mod._rank_at_degree.cache_clear()
         for t in range(2 * max(mults) + 1):
             # the image of such points is such points of P^m
             closed = {m: general_position_hilbert(m, mults, t) for m in range(n, n + 3)}
@@ -64,7 +63,6 @@ def test_points_in_general_position_and_their_images():
             for m in range(n + 1, n + 3):
                 assert hilbert_mod.restriction_ranks(z, m, t) == (closed[m], closed[n]), (z, t, m)
     assert checked > 1000
-    hilbert_mod._rank_at_degree.cache_clear()
 
 
 def test_distinct_points_of_the_line():
