@@ -10,7 +10,8 @@ binomial coefficient convention used by every dimension formula.
 ``rank`` and ``nullspace_basis`` share one elimination core over
 integer-rescaled sparse rows, with one row update: a row is combined with
 a pivot row to clear the pivot column and then divided by the gcd of its
-entries, so entries stay small and integral.  The forward pass and the
+entries, so entries stay small and integral; a row that becomes a pivot
+row unchanged is divided by its gcd too.  The forward pass and the
 back-substitution of ``nullspace_basis`` both use it.  The forward pass
 reduces each row, in input order, by the pivot row of its least column
 until it vanishes or becomes a new pivot row, so echelon forms, and with
@@ -119,10 +120,13 @@ def _combine(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, i
         v = a * row.get(c, 0) - b * prow.get(c, 0)
         if v:
             new[c] = v
-    g = math.gcd(*new.values())
-    if g > 1:
-        new = {c: v // g for c, v in new.items()}
-    return new
+    return _primitive(new)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def _echelon(rows: Iterable[dict[int, int]], ncols: int):
@@ -132,7 +136,8 @@ def _echelon(rows: Iterable[dict[int, int]], ncols: int):
     ``echelon_rows[k]`` having its least column at ``pivot_cols[k]``.  Each
     row, in input order, is combined through :func:`_combine` with the pivot
     row of its least column until it vanishes or becomes that column's pivot
-    row.  Reading stops once all ``ncols`` columns have a pivot.
+    row, divided by the gcd of its entries, so every echelon row is
+    primitive.  Reading stops once all ``ncols`` columns have a pivot.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -141,7 +146,7 @@ def _echelon(rows: Iterable[dict[int, int]], ncols: int):
         while row and (col := min(row)) in pivot_rows:
             row = _combine(row, pivot_rows[col], col)
         if row:
-            pivot_rows[col] = row
+            pivot_rows[col] = _primitive(row)
     pivots = sorted(pivot_rows)
     return [pivot_rows[col] for col in pivots], pivots
 

@@ -2,20 +2,28 @@
 
 For a scheme Z = m1*P1 + ... + ms*Ps in P^n and a degree t, the conditions
 matrix has one column per degree-t monomial in n+1 variables and one row
-per pair (point, derivative multi-index alpha with |alpha| <= m_i - 1 and
-|alpha| <= t; rows with |alpha| > t would be all zero, so they are left
-out).  The entry in row (i, alpha) and column beta is the divided-power
+per pair (point, derivative multi-index alpha of order g_i = min(m_i - 1, t)).
+A degree-t form f vanishes to order m_i at P_i exactly when its divided-power
+derivatives D^alpha f of every order below m_i vanish there, and only
+the top order is needed: derivatives of order above t vanish on every
+degree-t form, and by Euler's formula, for |alpha| < t,
+
+    (t - |alpha|) * D^alpha f(P) = sum_j P_j * (alpha_j + 1) * D^(alpha + e_j) f(P),
+
+so in characteristic zero the rows of order g_i span those of every lower
+order.  A point's block has C(g_i + n, n) rows, never more than the
+columns.  The entry in row (i, alpha) and column beta is the divided-power
 derivative value
 
     C(beta, alpha) * P_i^(beta - alpha),   C(beta, alpha) = prod_j C(beta_j, alpha_j),
 
 which is zero whenever some beta_j < alpha_j.  Divided powers differ from
-raw derivatives by the per-row factor alpha!, so in characteristic zero
-the nullspace is exactly the degree-t part of the defining ideal, while
-the integers involved stay smaller.  One flat loop builds every row as a
-sparse integer row from the point's integer representative, the point
-times lead_i, the common denominator of its coordinates.  That scales row
-(i, alpha) by lead_i^(t - |alpha|), which changes neither rank nor kernel;
+raw derivatives by the per-row factor alpha!, so the nullspace is exactly
+the degree-t part of the defining ideal, while the integers involved stay
+smaller.  One flat loop builds every row as a sparse integer row from the
+point's integer representative, the point times lead_i, the common
+denominator of its coordinates.  That scales row (i, alpha) by
+lead_i^(t - g_i), which changes neither rank nor kernel;
 ``conditions_matrix`` divides the factor out for its Fraction entries.
 
 Inside this module a monomial is the tuple of (variable, exponent) pairs
@@ -28,10 +36,9 @@ monomials of degree t - |alpha| in the point's nonzero coordinates.  The
 columns and the coefficients C(beta, delta) depend only on the number of
 variables, that support, |alpha| and t, so they come from a small cache of
 point-free tables (``_row_table``, bounded like an LRU cache); per point
-only the powers c^delta are computed, one list per degree t - |alpha|,
-kept on the point for its 2 * m_i most recent degrees, and each row is the
-coefficients times the powers.  The point's lead and integer
-representative are computed once per point.  Consequently
+only the one list of powers c^delta of degree t - g_i is computed, and
+each row is the coefficients times the powers.  The point's lead and
+integer representative are computed once per point.  Consequently
 
     H(t)          = rank(conditions matrix),
     dim (I_Z)_t   = C(t+n, n) - H(t),
@@ -102,8 +109,9 @@ class ConditionsMatrix:
     """Vanishing-conditions matrix plus its row and column labels.
 
     row_index[k] is the pair (component position, derivative multi-index)
-    that produced row k; multi-indices of order above the degree give
-    all-zero rows and are not listed.  Columns follow ``basis.exponents``.
+    that produced row k.  Only multi-indices of the top order
+    min(m_i - 1, t) are listed: by Euler's formula their rows span those of
+    every lower order.  Columns follow ``basis.exponents``.
     """
 
     matrix: Matrix
@@ -186,59 +194,49 @@ def _row_table(num_vars: int, support: tuple[int, ...], g: int, t: int):
     return tuple(table)
 
 
-def _point_powers(point, d: int, keep: int) -> list[int]:
-    """c^delta for every delta of degree d on the support of the point's
-    integer representative c, in ``_monomials`` order.
-
-    The lists are kept on the point by degree, the source's rows, its
-    image's and its truncations' alike, and at most ``keep`` of them: the
-    least recently used is dropped first.
-    """
-    lists = point._powers
-    powers = lists.pop(d, None)
-    if powers is None:
-        _, support, values = point._integral
-        powers = [
-            math.prod([values[k] ** e for k, e in local])
-            for local in _monomials(len(support), d)
-        ]
-        if len(lists) >= keep:
-            del lists[next(iter(lists))]
-    lists[d] = powers
-    return powers
-
-
 def _labelled_rows(scheme: FatPointScheme, dim: int, t: int):
     """Yield ``((component, alpha), scale, row)`` for every degree-t row of
-    the scheme's points in P^dim, by component, then alpha in graded-lex
-    order, |alpha| <= min(m_i - 1, t).
+    the scheme's points in P^dim, by component, then alpha of order
+    g = min(m_i - 1, t) in graded-lex order.
 
     With c the integer representative of P_i, row (i, alpha) has one entry
     prod_j C(alpha_j + delta_j, delta_j) * c^delta in column alpha + delta
-    for each delta of degree t - |alpha| on the nonzero coordinates of c.
+    for each delta of degree t - g on the nonzero coordinates of c.
     Columns and coefficients come from the cached ``_row_table`` of the
-    point's support; the powers c^delta come from ``_point_powers``, which
-    keeps the lists of 2 * m_i degrees on the point.  The row is the
-    normalized point's row times scale = lead_i^(t - |alpha|).
+    point's support; the powers c^delta are one list per component.  The
+    row is the normalized point's row times scale = lead_i^(t - g).
     """
     nvars = dim + 1
     for ci, (point, mult) in enumerate(scheme.components):
-        lead, support, _ = point._integral
-        for g in range(min(mult - 1, t) + 1):
-            powers = _point_powers(point, t - g, 2 * mult)
-            scale = lead ** (t - g)
-            alphas = _monomials(nvars, g)
-            for alpha, (columns, coefficients) in zip(alphas, _row_table(nvars, support, g, t)):
-                yield (ci, alpha), scale, dict(zip(columns, map(mul, coefficients, powers)))
+        lead, support, values = point._integral
+        g = min(mult - 1, t)
+        powers = [
+            math.prod([values[k] ** e for k, e in local])
+            for local in _monomials(len(support), t - g)
+        ]
+        scale = lead ** (t - g)
+        alphas = _monomials(nvars, g)
+        for alpha, (columns, coefficients) in zip(alphas, _row_table(nvars, support, g, t)):
+            yield (ci, alpha), scale, dict(zip(columns, map(mul, coefficients, powers)))
 
 
 def _cap_check(ambient_dim: int, t: int) -> None:
+    """Refuse a degree whose C(t + ambient_dim, ambient_dim) columns exceed
+    the cap.  The count is built over min(t, ambient_dim) factors and cut
+    short once it passes both the cap and 2^64, so a count over 64 bits is
+    named as a lower bound."""
     if t < 0:
         raise DegreeOutOfRange(f"degree must be nonnegative, got {_brief(t)}")
-    cols = binomial(t + ambient_dim, ambient_dim)
+    k, cut = min(t, ambient_dim), max(COLUMN_CAP, 2**64)
+    cols = 1
+    for i in range(1, k + 1):
+        cols = cols * (t + ambient_dim - k + i) // i  # C(t + ambient_dim - k + i, i)
+        if cols > cut:
+            break
     if cols > COLUMN_CAP:
+        count = _brief(cols) if cols.bit_length() <= 64 else f"at least {_brief(cols)}"
         raise ResourceLimit(
-            f"degree {_brief(t)} in P^{_brief(ambient_dim)} needs {_brief(cols)} monomial "
+            f"degree {_brief(t)} in P^{_brief(ambient_dim)} needs {count} monomial "
             f"columns (cap {_brief(COLUMN_CAP)})"
         )
 
@@ -249,8 +247,9 @@ def conditions_matrix(scheme: FatPointScheme, t: int) -> ConditionsMatrix:
     Rows are ordered by component, then by the derivative multi-index in
     graded-lex order; entries use the normalized point coordinates, so row
     (i, alpha) is the integer row divided by lead_i^(t - |alpha|).  Only
-    multi-indices with |alpha| <= t are listed: the rest give all-zero rows,
-    so ``row_index`` has no label for them.
+    multi-indices of order min(m_i - 1, t) are listed: the rows of lower
+    orders lie in their span, so the rank and the nullspace are those of
+    every order up to m_i - 1.
     """
     _cap_check(scheme.ambient_dim, t)
     basis = monomial_basis(scheme.ambient_dim + 1, t)

@@ -101,10 +101,9 @@ class ProjectivePoint:
     def ambient_dim(self) -> int:
         return len(self.coords) - 1
 
-    # The hash, the integer representative and the row builder's power
-    # lists are computed once per point, on first use, for the row
-    # builder's hot path, and kept out of the dataclass fields: equality,
-    # repr and JSON never see them.
+    # The hash and the integer representative are computed once per point,
+    # on first use, for the row builder's hot path, and kept out of the
+    # dataclass fields: equality, repr and JSON never see them.
 
     def __hash__(self) -> int:
         return self._hash
@@ -124,12 +123,6 @@ class ProjectivePoint:
             self.coords[j].numerator * (lead // self.coords[j].denominator) for j in support
         )
         return lead, support, values
-
-    @cached_property
-    def _powers(self) -> dict[int, list[int]]:
-        """Power lists of the integer representative by degree, filled and
-        bounded by the Hilbert layer."""
-        return {}
 
 
 @dataclass(frozen=True)

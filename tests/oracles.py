@@ -87,14 +87,16 @@ def monomials(num_vars: int, degree: int):
     return out
 
 
-def naive_conditions_rows(scheme, t: int):
-    """Divided-power conditions matrix built entry by entry."""
+def naive_conditions_rows(scheme, t: int, top_only: bool = False):
+    """Divided-power conditions matrix built entry by entry, with the rows
+    of every order below each multiplicity, or with ``top_only`` those of
+    order min(m - 1, t) alone."""
     num_vars = scheme.ambient_dim + 1
     cols = monomials(num_vars, t)
     rows = []
     for point, mult in scheme.components:
         coords = point.coords
-        for order in range(mult):
+        for order in [min(mult - 1, t)] if top_only else range(mult):
             for alpha in monomials(num_vars, order):
                 row = []
                 for beta in cols:

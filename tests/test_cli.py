@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -536,6 +537,20 @@ def test_huge_values_are_named_by_bit_length(tmp_path, capsys):
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert len(captured.err.encode("utf-8")) < 200, captured.err[:200]
         assert "-bit integer)" in captured.err, captured.err
+
+
+def test_huge_degree_in_a_large_space_is_refused_at_once(tmp_path, capsys):
+    # C(t + 500, 500) for a 4,000-digit t has millions of digits; the count
+    # stops once it passes the cap and 2^64, and is named as a lower bound
+    path = tmp_path / "simple.json"
+    path.write_text(scheme_to_json(make_scheme(500, [((1,) + (0,) * 500, 1)])))
+    started = time.perf_counter()
+    assert main(["hilbert", "--scheme", str(path), "--t", "9" * 4000]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == (
+        "fatpoints: resource limit: degree (13288-bit integer) in P^500 needs at least "
+        "(13288-bit integer) monomial columns (cap 20000)\n"
+    )
 
 
 def test_bad_point_values_are_named_by_position_and_type_or_length(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import collections
 import functools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -32,7 +34,13 @@ from fatpoints.scheme import (
     truncate,
 )
 
-from oracles import monomials, naive_conditions_rows, naive_hilbert, single_point_hilbert
+from oracles import (
+    monomials,
+    naive_conditions_rows,
+    naive_hilbert,
+    naive_rank,
+    single_point_hilbert,
+)
 
 
 def _int_rows(scheme, dim, t):
@@ -71,8 +79,9 @@ def test_conditions_matrix_simple_point_line():
 def test_conditions_matrix_double_point_line():
     z = _single(1, 2)
     cm = conditions_matrix(z, 1)
-    assert cm.matrix.to_rows() == [[1, 0], [1, 0], [0, 1]]
-    assert [alpha for _, alpha in cm.row_index] == [(0, 0), (1, 0), (0, 1)]
+    # only the first derivatives: by Euler's formula they span the value row
+    assert cm.matrix.to_rows() == [[1, 0], [0, 1]]
+    assert [alpha for _, alpha in cm.row_index] == [(1, 0), (0, 1)]
     assert rank(cm.matrix) == 2
 
 
@@ -86,32 +95,30 @@ def test_conditions_matrix_shape():
     z = make_scheme(2, [((1, 2, 3), 3), ((0, 1, 1), 2)])
     cm = conditions_matrix(z, 4)
     assert cm.matrix.cols == binomial(4 + 2, 2)
-    # one row per derivative multi-index of order below the multiplicity
-    assert cm.matrix.rows == len(cm.row_index) == binomial(2 + 3, 3) + binomial(1 + 3, 3)
+    # one row per derivative multi-index of order min(m - 1, t)
+    assert cm.matrix.rows == len(cm.row_index) == binomial(2 + 2, 2) + binomial(1 + 2, 2) == 9
+    assert [sum(alpha) for _, alpha in cm.row_index] == [2] * 6 + [1] * 3
     # orders above the degree give all-zero rows, which are left out
     cm = conditions_matrix(_single(3, 60), 1)
-    assert cm.matrix.rows == len(cm.row_index) == 5
+    assert cm.matrix.rows == len(cm.row_index) == 4
     assert rank(cm.matrix) == 4
 
 
 def _assert_matches_oracle(z, degrees):
-    """``conditions_matrix`` of z equals the entry-by-entry oracle, row by
-    labelled row, in every given degree."""
+    """``conditions_matrix`` of z equals the entry-by-entry oracle's rows of
+    order min(m - 1, t), row by labelled row, in every given degree."""
     nvars = z.ambient_dim + 1
-    # the oracle lists rows by component, then order, then monomials()
-    labels = [
-        (ci, alpha)
-        for ci, m in enumerate(z.multiplicities)
-        for order in range(m)
-        for alpha in monomials(nvars, order)
-    ]
     for t in degrees:
-        oracle_rows = naive_conditions_rows(z, t)
+        # the oracle lists rows by component, then monomials()
+        labels = [
+            (ci, alpha)
+            for ci, m in enumerate(z.multiplicities)
+            for alpha in monomials(nvars, min(m - 1, t))
+        ]
+        oracle_rows = naive_conditions_rows(z, t, top_only=True)
         assert len(oracle_rows) == len(labels)
         expected = {
-            label: dict(zip(monomials(nvars, t), row))
-            for label, row in zip(labels, oracle_rows)
-            if sum(label[1]) <= t
+            label: dict(zip(monomials(nvars, t), row)) for label, row in zip(labels, oracle_rows)
         }
         cm = conditions_matrix(z, t)
         got = {
@@ -257,9 +264,9 @@ def test_single_fat_point_closed_form():
                     assert hilbert_function(z, t, m) == image
                     source = single_point_hilbert(n, mult, t)
                     assert hilbert_mod.restriction_ranks(z, m, t) == (image, source)
-    # a 60-fold point: rows with |alpha| > t are empty and never built
+    # a 60-fold point: only the rows of order t are built
     z = _single(3, 60)
-    assert len(_int_rows(z, 3, 1)[0]) == 5
+    assert len(_int_rows(z, 3, 1)[0]) == 4
     for t in range(3):
         assert hilbert_function(z, t) == binomial(t + 3, 3)
 
@@ -700,11 +707,52 @@ def test_old_column_map_increases_and_keeps_exponents():
         assert [image[c] for c in old] == [beta + pad for beta in monomial_basis(n + 1, t).exponents]
 
 
-def test_power_lists_stay_bounded():
-    z = gen_random(2, 3, [1, 1, 3], config="generic", seed=8)
-    for t in range(41):
-        hilbert_function(z, t)
-        hilbert_function(z, t, 3)
-    for point, mult in z.components:
-        assert 1 <= len(point._powers) <= 2 * mult
-    assert [len(p._powers) for p in z.points[:2]] == [2, 2]
+def _euler_cases():
+    """Corpus-range schemes in the dimensions n..n+3 and their truncations,
+    then the support-pattern schemes in their own dimensions."""
+    shapes = [
+        ("generic", 1, [3, 2, 1]),
+        ("generic", 2, [3, 2, 1]),
+        ("generic", 3, [3, 1]),
+        ("collinear", 2, [3, 2, 1]),
+        ("rnc", 3, [3, 2]),
+    ]
+    for seed, (config, n, mults) in enumerate(shapes):
+        z = gen_random(n, len(mults), mults, config=config, seed=seed + 60)
+        for w in (z, truncate(z, 1)):
+            for m in range(n, n + 4):
+                yield w, m
+    for z in _support_pattern_schemes():
+        yield z, z.ambient_dim
+
+
+def test_top_order_rows_span_every_order():
+    # by Euler's formula the rows of order min(m_i - 1, t) span those of
+    # every lower order: the oracle's rank over all orders below m_i equals
+    # its rank over the top order alone, and both equal H(t)
+    for w, m in _euler_cases():
+        image = embed(w, m)
+        for t in range(regularity_index(w, m) + 2):
+            if binomial(t + m, m) > 56:  # keeps the dense oracle quick
+                break
+            every = naive_rank(naive_conditions_rows(image, t))
+            top = naive_rank(naive_conditions_rows(image, t, top_only=True))
+            assert every == top == hilbert_function(w, t, m), (w, m, t)
+
+
+def test_no_point_has_more_rows_than_columns():
+    cases = [(w, m, t) for w, m in _euler_cases() for t in range(6)]
+    huge = make_scheme(40, [(tuple(range(1, 42)), 10**100)])
+    cases += [(huge, 40, t) for t in range(4)]
+    for w, m, t in cases:
+        rows = collections.Counter(ci for (ci, _), _, _ in hilbert_mod._labelled_rows(w, m, t))
+        assert max(rows.values()) <= binomial(t + m, m), (w, m, t)
+
+
+def test_a_huge_multiplicity_in_a_large_space_is_quick():
+    # a 10^100-fold point of P^40 has C(43, 40) = 12,341 columns in degree 3
+    # and, with the top order alone, as many rows
+    z = make_scheme(40, [((1, Fraction(-3, 2)) + tuple(range(2, 41)), 10**100)])
+    started = time.perf_counter()
+    assert hilbert_function(z, 3) == binomial(43, 40)
+    assert time.perf_counter() - started < 5.0
