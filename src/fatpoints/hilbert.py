@@ -1,66 +1,74 @@
-"""Hilbert functions of fat point schemes via vanishing-conditions matrices.
+"""Hilbert functions of fat point schemes: one Buchberger-Moller pass per
+scheme for its own values, vanishing-conditions rows for its image.
 
-For a scheme Z = m1*P1 + ... + ms*Ps in P^n and a degree t, the conditions
-matrix has one column per degree-t monomial in n+1 variables and one row
-per pair (point, derivative multi-index alpha of order g_i = min(m_i - 1, t)).
-A degree-t form f vanishes to order m_i at P_i exactly when its divided-power
-derivatives D^alpha f of every order below m_i vanish there, and only
-the top order is needed: derivatives of order above t vanish on every
-degree-t form, and by Euler's formula, for |alpha| < t,
+For a scheme Z = m1*P1 + ... + ms*Ps in P^n, H(t) is the number of
+independent conditions Z imposes on degree-t forms, dim (I_Z)_t =
+C(t+n, n) - H(t), and the regularity index is the first t where H(t)
+reaches the multiplicity e = sum C(m_i + n - 1, n).
+
+Z's own values come from one pass over the functionals of its points, after
+Marinari, Moller and Mora (AAECC 4, 1993) and Abbott, Bigatti, Kreuzer and
+Robbiano (J. Symbolic Comput. 30, 2000).  The chart is L = 1 for
+L = X_0 + k X_1 + ... + k^n X_n, with the least k >= 0 at which L vanishes
+at no point (each point excludes at most n values).  L is then a
+nonzerodivisor modulo I_Z, so setting L = 1 maps the degree-t forms
+one-to-one onto the polynomials of degree <= t in X_1, ..., X_n, and a
+form lies in I_Z exactly when its image is killed by the e functionals
+(i, alpha) -> D^alpha f(p_i), |alpha| <= m_i - 1, with D^alpha the
+divided-power derivative and p_i the affine point.  H(t) is therefore the
+rank of the functional vectors of the monomials of degree <= t, whatever
+the chart.  The pass takes the monomials degree by degree in graded-lex
+order, which is multiplicative, and only those whose divisors are all
+standard: a multiple of a non-standard monomial lies in the span of smaller
+ones.  A candidate's vector is a standard monomial's stored vector times X_j,
+
+    w[i, alpha] = c_ij * w[i, alpha] + w[i, alpha - e_j],
+
+where the integer representatives c_i are scaled so that L(c_i) = q for
+every point, so p_i = c_i / q.  Entry (i, alpha) of a degree-d monomial's
+vector is then its exact value times q^(d - |alpha|): one nonzero factor
+per vector times one per functional, which changes no linear dependency
+and no rank on a set of keys, and leaves every entry an integer.  Each
+candidate is reduced by ``exactlinalg``'s insertion step at its least key;
+a nonzero result is a new pivot and its monomial is standard, so after
+degree t the pivots number H(t) exactly.  Keys sort by decreasing level
+m_i - 1 - |alpha|.  The functionals of Z - k, every multiplicity lowered by
+k, are those of level >= k, a prefix of the keys, and an echelon row whose
+pivot lies past a prefix is zero on it: the pivots of level >= k number
+H(t) of Z - k.  A pass walks only as far as it is asked, and stops once
+its pivots number e.
+
+The image embed(Z, m), whose points are Z's padded with zeros, is answered
+from Z's points in m + 1 variables, by rows.  Its conditions matrix has one
+column per degree-t monomial and one row per pair (point, multi-index alpha
+of order g_i = min(m_i - 1, t)): by Euler's formula, for |alpha| < t,
 
     (t - |alpha|) * D^alpha f(P) = sum_j P_j * (alpha_j + 1) * D^(alpha + e_j) f(P),
 
-so in characteristic zero the rows of order g_i span those of every lower
-order.  A point's block has C(g_i + n, n) rows, never more than the
-columns.  The entry in row (i, alpha) and column beta is the divided-power
-derivative value
+so the rows of order g_i span those of every lower order, and a point never
+has more rows than columns.  The entry in row (i, alpha) and column beta is
+C(beta, alpha) * P_i^(beta - alpha), zero unless alpha <= beta.  Each row is
+built sparse and integral from the point times lead_i, the common
+denominator of its coordinates, which scales it by lead_i^(t - g_i);
+``conditions_matrix`` divides that out.  Writing beta = alpha + delta, the
+columns and coefficients C(beta, delta) depend only on the number of
+variables, the point's support, g_i and t, so they come from the bounded
+cache ``_row_table``, and per point only the powers c^delta are computed.
+The image's rows are Z's rows lifted onto the old-variable columns and rows
+that meet no old-variable column, so its rank is Z's H(t) plus the rank of
+the other rows.  Each image row is compared with the lifted source row of
+the same label; if a source row has no equal image row, or another image
+row meets an old-variable column, the row builder contradicts itself and
+InternalBoundViolation is raised.
 
-    C(beta, alpha) * P_i^(beta - alpha),   C(beta, alpha) = prod_j C(beta_j, alpha_j),
-
-which is zero whenever some beta_j < alpha_j.  Divided powers differ from
-raw derivatives by the per-row factor alpha!, so the nullspace is exactly
-the degree-t part of the defining ideal, while the integers involved stay
-smaller.  One flat loop builds every row as a sparse integer row from the
-point's integer representative, the point times lead_i, the common
-denominator of its coordinates.  That scales row (i, alpha) by
-lead_i^(t - g_i), which changes neither rank nor kernel;
-``conditions_matrix`` divides the factor out for its Fraction entries.
-
-Inside this module a monomial is the tuple of (variable, exponent) pairs
-of its nonzero exponents, X_0^2 X_3 as ((0, 2), (3, 1)), so its size is
-bounded by its degree as well as by the number of variables; exponent
-vectors appear only in ``monomial_basis`` and the ``conditions_matrix``
-labels.  Writing beta = alpha + delta, the entry is C(beta, delta) *
-c^delta for the integer representative c, and delta runs over the
-monomials of degree t - |alpha| in the point's nonzero coordinates.  The
-columns and the coefficients C(beta, delta) depend only on the number of
-variables, that support, |alpha| and t, so they come from a small cache of
-point-free tables (``_row_table``, bounded like an LRU cache); per point
-only the one list of powers c^delta of degree t - g_i is computed, and
-each row is the coefficients times the powers.  The point's lead and
-integer representative are computed once per point.  Consequently
-
-    H(t)          = rank(conditions matrix),
-    dim (I_Z)_t   = C(t+n, n) - H(t),
-
-and the regularity index is the first t where H(t) reaches the
-multiplicity of the scheme.  The points of embed(Z, m) are Z's padded with
-zeros, so given ``target_dim`` m the functions below answer for embed(Z, m)
-from Z's points in m + 1 variables: no point is padded.
-
-The image's rows are of two kinds: Z's rows of the same degree, lifted
-onto the old-variable columns, and rows with entries only in new-variable
-columns.  So the image's matrix is block diagonal up to a column
-permutation, and its rank is Z's rank plus the rank of the other rows.
-Each image row is compared entry by entry with the lifted source row of
-the same (component, alpha) label; if some source row has no equal image
-row, or some other image row meets an old-variable column, the row
-builder contradicts itself and InternalBoundViolation is raised.  The two
-ranks of ``restriction_ranks`` are the image's and Z's memo values.
-
-Monomials of a fixed degree are listed in graded-lexicographic order with
-X_0 > X_1 > ... > X_n, i.e. exponent vectors in descending lexicographic
-order, so matrices, nullspace bases and JSON dumps are byte-stable.
+A monomial or multi-index is the tuple of (variable, exponent) pairs of its
+nonzero exponents, X_0^2 X_3 as ((0, 2), (3, 1)), and an affine point a
+dict of its nonzero coordinates, so sizes follow the degree and the support,
+not the number of variables; exponent vectors appear only in
+``monomial_basis`` and the ``conditions_matrix`` labels.  Monomials of a
+fixed degree are listed in graded-lexicographic order with X_0 > X_1 > ...
+> X_n, i.e. exponent vectors in descending lexicographic order, so
+matrices, nullspace bases and JSON dumps are byte-stable.
 """
 
 from __future__ import annotations
@@ -72,8 +80,8 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit, _brief
-from .exactlinalg import Matrix, binomial, _rank_of_int_rows
-from .scheme import FatPointScheme, TruncatedScheme, UnitIdeal, _image_dim, multiplicity
+from .exactlinalg import Matrix, binomial, _combine, _primitive, _rank_of_int_rows
+from .scheme import FatPointScheme, TruncatedScheme, UnitIdeal, _image_dim, multiplicity, truncate
 
 __all__ = [
     "COLUMN_CAP",
@@ -266,6 +274,90 @@ def conditions_matrix(scheme: FatPointScheme, t: int) -> ConditionsMatrix:
     return ConditionsMatrix(matrix, tuple(labels), basis)
 
 
+def _times(monomial: tuple, j: int) -> tuple:
+    """The monomial times X_j, both as (variable, exponent) pairs."""
+    for k, (v, e) in enumerate(monomial):
+        if v >= j:
+            bump = ((j, e + 1),) if v == j else ((j, 1), (v, e))
+            return monomial[:k] + bump + monomial[k + 1 :]
+    return monomial + ((j, 1),)
+
+
+def _graded_lex(monomial: tuple) -> tuple:
+    """Sort key of one degree's monomials in ``_monomials`` order."""
+    return tuple((v, -e) for v, e in monomial)
+
+
+class _Pass:
+    """Buchberger-Moller over the functionals of one scheme, degree by degree;
+    see the module docstring.  ``rank(t, drop)`` is H(t) of Z - drop."""
+
+    def __init__(self, scheme: FatPointScheme):
+        points = [point._integral[1:] for point, _ in scheme.components]
+        k = 0  # the least k at which L = sum_j k^j X_j vanishes at no point
+        while not all(values := [sum(v * k**j for j, v in zip(*p)) for p in points]):
+            k += 1
+        scale = math.lcm(*values)
+        self.coords = [
+            {j: v * (scale // value) for j, v in zip(*p) if j} for p, value in zip(points, values)
+        ]
+        self.variables = range(1, scheme.ambient_dim + 1)
+        self.size = multiplicity(scheme)
+        # a key (-level, component, alpha) sorts by decreasing level m_i - 1 - |alpha|
+        one = {(1 - m, i, ()): 1 for i, (_, m) in enumerate(scheme.components)}
+        top = min(one)
+        self.pivots = {top: one}
+        self.levels = [[-top[0]]]  # the pivots' levels, by degree
+        self.last = {(): one}  # the last degree's standard monomials and their vectors
+
+    def rank(self, t: int, drop: int = 0) -> int:
+        while len(self.levels) <= t and len(self.pivots) < self.size:
+            self._walk()
+        return sum(level >= drop for levels in self.levels[: t + 1] for level in levels)
+
+    def _walk(self) -> None:
+        found, parents = {}, {}
+        for gamma, vector in self.last.items():
+            for j in self.variables:
+                beta = _times(gamma, j)
+                found[beta] = found.get(beta, 0) + 1
+                parents.setdefault(beta, (vector, j))
+        # a candidate is found once per variable it has, from each divisor
+        candidates = sorted((b for b, count in found.items() if count == len(b)), key=_graded_lex)
+        pivots, levels, last, known = self.pivots, [], {}, len(self.pivots)
+        try:
+            for beta in candidates:
+                row = self._times_variable(*parents[beta])
+                while row and (key := min(row)) in pivots:
+                    row = _combine(row, pivots[key], key)
+                if row:
+                    pivots[key] = last[beta] = _primitive(row)
+                    levels.append(-key[0])
+        except BaseException:  # an interrupted degree leaves no trace in the memo
+            for key in list(pivots)[known:]:
+                del pivots[key]
+            raise
+        self.last = last
+        self.levels.append(levels)
+
+    def _times_variable(self, vector: dict, j: int) -> dict:
+        """w[i, alpha] = c_ij * w[i, alpha] + w[i, alpha - e_j]: the vector of
+        X_j times the polynomial of ``vector``."""
+        out = {}
+        for key, v in vector.items():
+            minus_level, i, alpha = key
+            c = self.coords[i].get(j)
+            if c:
+                out[key] = out.get(key, 0) + c * v
+            if minus_level < 0:  # (i, alpha + e_j) is a functional too
+                up = (minus_level + 1, i, _times(alpha, j))
+                out[up] = out.get(up, 0) + v
+        return {key: v for key, v in out.items() if v}
+
+
+_source_pass = lru_cache(maxsize=2)(_Pass)
+
+
 def _old_columns(source_vars: int, image_vars: int, t: int) -> list[int]:
     """The image column of each degree-t source column, in source order;
     a monomial in X_0..X_n is also one in X_0..X_m, and the list increases
@@ -276,21 +368,22 @@ def _old_columns(source_vars: int, image_vars: int, t: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> int:
-    """Rank of the degree-t conditions rows of the scheme's points in P^dim.
+    """H(t) of the scheme's points in P^dim.
 
-    The scheme's own rank, dim == n, is eliminated directly.  For an image,
-    dim > n, the rows split by two facts: (a) each lifted source row is
-    equal to the image row of the same label, and (b) every other image row
-    has no entry in an old-variable column.  So the matrix is block
-    diagonal up to a column permutation, and its rank is the source's, from
-    this memo, plus the rank of the other rows.  Both facts hold by how the
-    rows are built: a failure of either is a bug in the row builder and
-    raises InternalBoundViolation.
+    The scheme's own value, dim == n, is read from its pass; the pass memo
+    ``_source_pass`` keeps two schemes' passes, each extended on demand, so
+    the truncations read through ``hilbert_function(..., drop=k)`` share it.
+    For an image, dim > n, the rows split by two facts: (a) each lifted
+    source row is equal to the image row of the same label, and (b) every
+    other image row has no entry in an old-variable column.  So the matrix
+    is block diagonal up to a column permutation, and its rank is the
+    source's H(t), from this memo, plus the rank of the other rows.  Both
+    facts hold by how the rows are built: a failure of either is a bug in
+    the row builder and raises InternalBoundViolation.
     """
     n = scheme.ambient_dim
     if dim == n:
-        rows = (row for _, _, row in _labelled_rows(scheme, n, t))
-        return _rank_of_int_rows(rows, binomial(t + n, n))
+        return _source_pass(scheme).rank(t)
     old = _old_columns(n + 1, dim + 1, t)
     source_rows = _labelled_rows(scheme, n, t)
     lifted = {label: {old[c]: v for c, v in row.items()} for label, _, row in source_rows}
@@ -305,21 +398,34 @@ def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> int:
     return _rank_at_degree(scheme, n, t) + _rank_of_int_rows(rest, binomial(t + dim, dim))
 
 
-def hilbert_function(scheme: TruncatedScheme, t: int, target_dim: int | None = None) -> int:
+def hilbert_function(
+    scheme: TruncatedScheme, t: int, target_dim: int | None = None, drop: int = 0
+) -> int:
     """H(t): independent conditions the scheme, or its image
-    ``embed(scheme, target_dim)``, imposes on degree-t forms."""
+    ``embed(scheme, target_dim)``, imposes on degree-t forms.
+
+    With ``drop``, the value is that of ``truncate(scheme, drop)``.  In the
+    scheme's own dimension a positive drop is read from the scheme's pass,
+    with no truncated scheme built."""
     dim = _image_dim(scheme, target_dim)
     _cap_check(dim, t)
+    if drop and (drop < 0 or dim > scheme.ambient_dim):
+        scheme, drop = truncate(scheme, drop), 0
     if isinstance(scheme, UnitIdeal):
         return 0
+    if drop:
+        return _source_pass(scheme).rank(t, drop)
     return _rank_at_degree(scheme, dim, t)
 
 
-def ideal_dim(scheme: TruncatedScheme, t: int, target_dim: int | None = None) -> int:
+def ideal_dim(
+    scheme: TruncatedScheme, t: int, target_dim: int | None = None, drop: int = 0
+) -> int:
     """Dimension of the degree-t part of the defining ideal of the scheme,
-    or of its image ``embed(scheme, target_dim)``."""
+    or of its image ``embed(scheme, target_dim)``; ``drop`` as for
+    ``hilbert_function``."""
     dim = _image_dim(scheme, target_dim)
-    return binomial(t + dim, dim) - hilbert_function(scheme, t, target_dim)
+    return binomial(t + dim, dim) - hilbert_function(scheme, t, target_dim, drop)
 
 
 def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[int, int]:

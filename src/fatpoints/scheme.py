@@ -132,9 +132,18 @@ class FatPointScheme:
     ambient_dim: int
     components: tuple[tuple[ProjectivePoint, int], ...]
 
+    # the hash and the fingerprint are kept out of the fields like the
+    # points' cached values; memo lookups hash a scheme many times
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ambient_dim, self.components))
+
     @cached_property
     def _fingerprint(self) -> str:
-        # kept out of the fields like the points' cached values
         canonical = json.dumps(scheme_to_json_dict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 

@@ -1,10 +1,11 @@
 """Computational checks of the identities relating a fat point scheme to
 its image under the coordinate-padding embedding.
 
-Every check recomputes both sides of an identity independently; the
-embedded side is always an honest rank computation on the embedded
-conditions matrix, never the identity being tested.  The checks never pad
-a point: they ask the Hilbert layer about the image by passing
+Every check recomputes both sides of an identity independently.  The
+source side, for the scheme and every truncation, is read from the
+scheme's Buchberger-Moller pass; the embedded side is a rank computation on
+the image's conditions rows, never the identity being tested.  The checks
+never pad a point: they ask the Hilbert layer about the image by passing
 ``target_dim``, and it builds the image's rows from the source points, so
 a value over the column cap is refused where it is evaluated.  Reports
 carry the integer values of both sides, so a failing run is a
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .exactlinalg import binomial
 from .hilbert import hilbert_function, ideal_dim, regularity_index, restriction_ranks
-from .scheme import FatPointScheme, multiplicity, scheme_fingerprint, truncate
+from .scheme import FatPointScheme, multiplicity, scheme_fingerprint
 
 __all__ = [
     "CheckRecord",
@@ -143,7 +144,7 @@ def _truncation_sum(scheme: FatPointScheme, target_dim: int, t: int, shift: int 
     total = ideal_dim(scheme, t)
     for i in range(t):
         drop = t - i
-        total += binomial(m - n - 1 + shift + drop, drop) * ideal_dim(truncate(scheme, drop), i)
+        total += binomial(m - n - 1 + shift + drop, drop) * ideal_dim(scheme, i, drop=drop)
     return total
 
 
@@ -193,7 +194,7 @@ def check_cor46(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
         h_m = hilbert_function(scheme, t, target_dim)
         h_n = hilbert_function(scheme, t)
         if single_step and t < reg:
-            rhs = h_n + sum(hilbert_function(truncate(scheme, t - i), i) for i in range(t))
+            rhs = h_n + sum(hilbert_function(scheme, i, drop=t - i) for i in range(t))
             additive.append(CheckRecord(t, h_m, rhs, h_m == rhs, "single-step additive identity"))
         dominance.append(CheckRecord(t, h_m, h_n, h_m >= h_n, "embedded H dominates"))
         if some_fat and t == 0:

@@ -571,8 +571,9 @@ def test_restriction_ranks_warm_a_cleared_memo(monkeypatch):
         with monkeypatch.context() as mp:
             calls = _counting_eliminations(mp)
             got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
-        # the image's rows split: the source's rows and the others
-        assert len(calls) == 2
+        # the image's rows split; only the rows that are no lifted source
+        # row are eliminated, and the source's H(t) comes from its pass
+        assert len(calls) == 1
         assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
         assert list(got) == [hilbert_function(scheme, t, target_dim), hilbert_function(scheme, t)]
 
@@ -678,10 +679,11 @@ def test_image_ranks_add_the_source_rank_to_the_new_variable_rows(monkeypatch):
                     plain = _rank_of_int_rows(rows, ncols)
                     source = _source_row_count(z, t)
                     with monkeypatch.context() as mp:
-                        # cold: the image's miss is also the source's, and
-                        # the source's rows are eliminated before the others
+                        # cold: the image's miss is also the source's, whose
+                        # H(t) comes from its pass; only the other rows are
+                        # eliminated
                         cold, calls = _image_miss(z, m, t, mp)
-                        assert (cold, calls) == (plain, [source, len(rows) - source])
+                        assert (cold, calls) == (plain, [len(rows) - source])
                         assert _memo_counts() == (0, 2)
                         # warm: the source's H(t) is read from the memo
                         hilbert_mod._rank_at_degree.cache_clear()
@@ -756,3 +758,102 @@ def test_a_huge_multiplicity_in_a_large_space_is_quick():
     started = time.perf_counter()
     assert hilbert_function(z, 3) == binomial(43, 40)
     assert time.perf_counter() - started < 5.0
+
+
+def _pass_cases(step):
+    """Every ``step``-th acceptance-corpus scheme with its regularity index."""
+    from test_acceptance import build_corpus
+
+    for entry in build_corpus()[::step]:
+        yield entry.scheme, regularity_index(entry.scheme)
+
+
+def test_pass_matches_row_eliminations_and_the_oracle_on_the_corpus():
+    for z, reg in _pass_cases(10):
+        walk = hilbert_mod._Pass(z)
+        for t in range(reg + 2):
+            cm = conditions_matrix(z, t)
+            assert walk.rank(t) == rank(cm.matrix), (z, t)
+            if cm.matrix.cols <= 20:
+                assert walk.rank(t) == naive_hilbert(z, t), (z, t)
+
+
+def test_pass_prefix_counts_are_the_truncations():
+    # after degree t, the pivots of level >= k count H(t) of Z - k
+    for z, reg in _pass_cases(5):
+        walk = hilbert_mod._Pass(z)
+        n = z.ambient_dim
+        for k in range(1, max(z.multiplicities) + 1):
+            w = truncate(z, k)
+            for t in range(reg + 2):
+                expected = 0 if isinstance(w, UnitIdeal) else _rank_of_int_rows(*_int_rows(w, n, t))
+                assert walk.rank(t, k) == expected, (z, k, t)
+                assert hilbert_function(z, t, drop=k) == hilbert_function(w, t) == expected
+                assert ideal_dim(z, t, drop=k) == ideal_dim(w, t)
+
+
+def test_a_second_chart_gives_the_same_table():
+    # reversed coordinates put some points off X_0 = 1, so the pass walks in
+    # another chart; the Hilbert function of every truncation is unchanged
+    moved = 0
+    for z, reg in _pass_cases(5):
+        raw = [(tuple(reversed(p.coords)), m) for p, m in z.components]
+        w = make_scheme(z.ambient_dim, raw)
+        moved += any(p.coords[-1] == 0 for p in z.points)
+        walks = hilbert_mod._Pass(z), hilbert_mod._Pass(w)
+        for k in range(max(z.multiplicities)):
+            for t in range(reg + 2):
+                assert walks[0].rank(t, k) == walks[1].rank(t, k), (z, k, t)
+    assert moved > 0
+
+
+def test_source_values_build_and_eliminate_no_rows(monkeypatch):
+    for z, reg in _pass_cases(10):
+        hilbert_mod._rank_at_degree.cache_clear()
+        hilbert_mod._source_pass.cache_clear()
+        with monkeypatch.context() as mp:
+            calls = _counting_eliminations(mp)
+            builds = _counting_row_builds(mp)
+            for k in range(max(z.multiplicities) + 1):
+                for t in range(reg + 2):
+                    hilbert_function(z, t, drop=k)
+        assert (calls, builds) == ([], [])
+
+
+def test_negative_drop_and_image_drop_follow_truncate():
+    z = make_scheme(2, [((1, 2, -1), 2), ((0, 1, 3), 1)])
+    for t in range(5):
+        assert hilbert_function(z, t, drop=-1) == hilbert_function(truncate(z, -1), t)
+        assert hilbert_function(z, t, 4, drop=1) == hilbert_function(truncate(z, 1), t, 4)
+        assert hilbert_function(z, t, 4, drop=2) == 0
+
+
+def test_an_interrupted_walk_leaves_the_pass_as_it_was(monkeypatch):
+    z = gen_random(2, 4, [3, 2, 2, 1], config="generic", seed=3)
+    expected = [hilbert_mod._Pass(z).rank(t, k) for k in range(3) for t in range(7)]
+    for stop in (1, 5, 20):
+        hilbert_mod._rank_at_degree.cache_clear()
+        hilbert_mod._source_pass.cache_clear()
+        hilbert_function(z, 1)
+        calls, combine = [], hilbert_mod._combine
+
+        def interrupted(row, prow, col):
+            calls.append(col)
+            if len(calls) == stop:
+                raise KeyboardInterrupt
+            return combine(row, prow, col)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(hilbert_mod, "_combine", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                hilbert_function(z, 6)
+        assert [hilbert_function(z, t, drop=k) for k in range(3) for t in range(7)] == expected
+
+
+def test_pass_memo_stays_bounded():
+    for z, reg in _pass_cases(20):
+        for t in range(reg + 2):
+            hilbert_function(z, t)
+            hilbert_function(z, t, drop=1)
+    info = hilbert_mod._source_pass.cache_info()
+    assert info.maxsize == 2 and info.currsize <= 2

@@ -141,14 +141,15 @@ def test_cached_point_values_stay_out_of_json_fingerprint_and_equality():
         p._integral
     embed(z, 4)
     conditions_matrix(z, 3)
+    shown_hash = hash(z)
     assert "_integral" in vars(z.points[0]) and "_hash" in vars(z.points[0])
-    assert vars(z)["_fingerprint"] == fingerprint
+    assert vars(z)["_fingerprint"] == fingerprint and vars(z)["_hash"] == shown_hash
     assert "_integral" not in vars(fresh.points[0])
-    assert "_fingerprint" not in vars(fresh)
+    assert "_fingerprint" not in vars(fresh) and "_hash" not in vars(fresh)
     assert scheme_to_json(z) == text
     assert scheme_fingerprint(z) == fingerprint == scheme_fingerprint(fresh)
     assert repr(z) == shown
-    assert z == fresh and hash(z) == hash(fresh)
+    assert z == fresh and hash(z) == hash(fresh) == hash((z.ambient_dim, z.components))
     assert [f.name for f in dataclasses.fields(ProjectivePoint)] == ["coords"]
     assert [f.name for f in dataclasses.fields(FatPointScheme)] == ["ambient_dim", "components"]
     assert dataclasses.asdict(z) == dataclasses.asdict(fresh)
