@@ -56,10 +56,9 @@ variables, the point's support, g_i and t, so they come from the bounded
 cache ``_row_table``, and per point only the powers c^delta are computed.
 The image's rows are Z's rows lifted onto the old-variable columns and rows
 that meet no old-variable column, so its rank is Z's H(t) plus the rank of
-the other rows.  Each image row is compared with the lifted source row of
-the same label; if a source row has no equal image row, or another image
-row meets an old-variable column, the row builder contradicts itself and
-InternalBoundViolation is raised.
+the other rows.  An image point has its source point's support and powers,
+so equal table entries give equal rows: ``_new_variable_table`` checks the
+split once per pair of tables, and only the other rows are built.
 
 A monomial or multi-index is the tuple of (variable, exponent) pairs of its
 nonzero exponents, X_0^2 X_3 as ((0, 2), (3, 1)), and an affine point a
@@ -179,10 +178,10 @@ def _row_table(num_vars: int, support: tuple[int, ...], g: int, t: int):
     """The point-free part of the degree-t rows of order g, for points whose
     nonzero coordinates sit exactly at ``support``.
 
-    For each alpha of degree g, in graded-lex order, a pair ``(columns,
-    coefficients)`` with one entry per delta of degree t - g on the support,
-    the deltas in ``_monomials(len(support), t - g)`` order: the column of
-    beta = alpha + delta and prod_j C(beta_j, delta_j).
+    For each alpha of degree g, in graded-lex order, a triple ``(alpha,
+    columns, coefficients)`` with one entry per delta of degree t - g on the
+    support, the deltas in ``_monomials(len(support), t - g)`` order: the
+    column of beta = alpha + delta and prod_j C(beta_j, delta_j).
     """
     index = _column_index(num_vars, t)
     deltas = [[(support[k], d) for k, d in local] for local in _monomials(len(support), t - g)]
@@ -198,8 +197,14 @@ def _row_table(num_vars: int, support: tuple[int, ...], g: int, t: int):
                 coefficient *= math.comb(b, d)
             columns.append(index[tuple(sorted(beta.items()))])
             coefficients.append(coefficient)
-        table.append((tuple(columns), tuple(coefficients)))
+        table.append((alpha, tuple(columns), tuple(coefficients)))
     return tuple(table)
+
+
+def _powers(values: tuple[int, ...], d: int) -> list[int]:
+    """c^delta for each delta of degree d, in ``_monomials`` order, with
+    ``values`` the nonzero coordinates of c; none is zero."""
+    return [math.prod([values[k] ** e for k, e in local]) for local in _monomials(len(values), d)]
 
 
 def _labelled_rows(scheme: FatPointScheme, dim: int, t: int):
@@ -214,17 +219,12 @@ def _labelled_rows(scheme: FatPointScheme, dim: int, t: int):
     point's support; the powers c^delta are one list per component.  The
     row is the normalized point's row times scale = lead_i^(t - g).
     """
-    nvars = dim + 1
     for ci, (point, mult) in enumerate(scheme.components):
         lead, support, values = point._integral
         g = min(mult - 1, t)
-        powers = [
-            math.prod([values[k] ** e for k, e in local])
-            for local in _monomials(len(support), t - g)
-        ]
+        powers = _powers(values, t - g)
         scale = lead ** (t - g)
-        alphas = _monomials(nvars, g)
-        for alpha, (columns, coefficients) in zip(alphas, _row_table(nvars, support, g, t)):
+        for alpha, columns, coefficients in _row_table(dim + 1, support, g, t):
             yield (ci, alpha), scale, dict(zip(columns, map(mul, coefficients, powers)))
 
 
@@ -366,6 +366,30 @@ def _old_columns(source_vars: int, image_vars: int, t: int) -> list[int]:
     return [index[beta] for beta in _monomials(source_vars, t)]
 
 
+@lru_cache(maxsize=2048)
+def _new_variable_table(source_vars: int, image_vars: int, support: tuple, g: int, t: int):
+    """The ``(columns, coefficients)`` of the image table's entries whose
+    alpha meets a new variable, once the tables are checked to split: (a)
+    each source alpha's image entry is its source entry with the columns
+    mapped by ``_old_columns``, and (b) every other image entry meets no
+    old column.  A failure raises InternalBoundViolation."""
+    old = _old_columns(source_vars, image_vars, t)
+    source = {
+        alpha: (tuple(map(old.__getitem__, columns)), coefficients)
+        for alpha, columns, coefficients in _row_table(source_vars, support, g, t)
+    }
+    old_columns, new, split = set(old), [], True
+    for alpha, columns, coefficients in _row_table(image_vars, support, g, t):
+        if alpha in source:  # (a)
+            split &= source.pop(alpha) == (columns, coefficients)
+        else:  # (b)
+            split &= old_columns.isdisjoint(columns)
+            new.append((columns, coefficients))
+    if not split or source:  # a failed fact, or a source alpha with no image entry
+        raise InternalBoundViolation(f"degree-{t} row tables in P^{image_vars - 1} do not split")
+    return tuple(new)
+
+
 @lru_cache(maxsize=None)
 def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> int:
     """H(t) of the scheme's points in P^dim.
@@ -377,25 +401,23 @@ def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> int:
     source row is equal to the image row of the same label, and (b) every
     other image row has no entry in an old-variable column.  So the matrix
     is block diagonal up to a column permutation, and its rank is the
-    source's H(t), from this memo, plus the rank of the other rows.  Both
-    facts hold by how the rows are built: a failure of either is a bug in
-    the row builder and raises InternalBoundViolation.
+    source's H(t), from this memo, plus the rank of the other rows.  An
+    image row and its source row share the point's powers, so equal table
+    entries give equal rows: ``_new_variable_table`` checks both facts on
+    the tables, and a failure raises InternalBoundViolation.
     """
     n = scheme.ambient_dim
     if dim == n:
         return _source_pass(scheme).rank(t)
-    old = _old_columns(n + 1, dim + 1, t)
-    source_rows = _labelled_rows(scheme, n, t)
-    lifted = {label: {old[c]: v for c, v in row.items()} for label, _, row in source_rows}
-    matched, rest = 0, []
-    for label, _, row in _labelled_rows(scheme, dim, t):
-        if lifted.get(label) == row:
-            matched += 1
-        else:
-            rest.append(row)
-    if matched < len(lifted) or not all(map(set(old).isdisjoint, rest)):
-        raise InternalBoundViolation(f"the degree-{t} image rows in P^{dim} do not split")
-    return _rank_at_degree(scheme, n, t) + _rank_of_int_rows(rest, binomial(t + dim, dim))
+    rows = []
+    for point, mult in scheme.components:
+        _, support, values = point._integral
+        g = min(mult - 1, t)
+        table = _new_variable_table(n + 1, dim + 1, support, g, t)
+        if table:
+            powers = _powers(values, t - g)
+            rows += [dict(zip(columns, map(mul, coeffs, powers))) for columns, coeffs in table]
+    return _rank_at_degree(scheme, n, t) + _rank_of_int_rows(rows, binomial(t + dim, dim))
 
 
 def hilbert_function(

@@ -426,102 +426,107 @@ def _counting_eliminations(mp):
     return calls
 
 
-def _change_first_entry(rows):
-    # the first image row is the lift of the first source row: breaks (a) and (b)
-    row = rows[0][2]
-    row[min(row)] += 1
+def _change_first_entry(table, num_vars):
+    # on the source table: the first coefficient of X_0^g, an old alpha;
+    # the columns still match, the coefficients do not: breaks (a) only
+    alpha, columns, coefficients = table[0]
+    return ((alpha, columns, (coefficients[0] + 1,) + coefficients[1:]),) + table[1:]
 
 
-def _drop_first_row(rows):
-    # no image row is left for the first lifted source row: breaks (a) only
-    del rows[0]
+def _drop_first_row(table, num_vars):
+    # the old alpha X_0^g has no image entry left: breaks (a) only
+    return table[1:]
 
 
-def _append_old_column_row(rows):
-    # a new image row whose restriction is no source row: breaks (b) only
-    rows.append(((-1, ()), 1, {0: 1, 1: 10**9}))
+def _append_old_column_row(table, num_vars):
+    # an entry under a new-variable alpha that meets old columns: breaks (b) only
+    return table + ((((num_vars - 1, 1),), (0, 1), (1, 10**9)),)
 
 
-def _append_first_row_again(rows):
-    # a copy of the first image row, the lift of the first source row,
-    # under a label of no source row: it meets old-variable columns, so it
-    # breaks (b) only
-    rows.append(((-1, ()), 1, dict(rows[0][2])))
+def _append_first_row_again(table, num_vars):
+    # the entry of X_0^g, an old alpha, repeated under X_0^g X_m: it meets
+    # old columns, so it breaks (b) only
+    alpha, columns, coefficients = table[0]
+    return table + ((alpha + ((num_vars - 1, 1),), columns, coefficients),)
 
 
-def _add_to_least_entry(row):
-    # the row meets old-variable columns only: breaks (a) and (b)
-    row[min(row)] += 1
-    return row
+def _add_to_least_entry(entry):
+    # the least column moves up by one, the coefficients stay: breaks (a) only
+    alpha, columns, coefficients = entry
+    least = min(columns)
+    return alpha, tuple(c + (c == least) for c in columns), coefficients
 
 
-def _clear_row(row):
+def _clear_row(entry):
     # breaks (a) only
-    return {}
+    return entry[0], (), ()
 
 
 def _at_simple_point_row(change):
-    """Change the image row labelled as a simple point's source row."""
+    """Change the g = 0 entry, the one entry of a simple point's table."""
 
-    def perturb(rows):
-        # component 1 is a simple point in every scheme below
-        k = next(k for k, (label, _, _) in enumerate(rows) if label == (1, ()))
-        label, scale, row = rows[k]
-        rows[k] = (label, scale, change(row))
+    def perturb(table, num_vars):
+        return (change(table[0]),) if table[0][0] == () else table
 
     perturb.__name__ = change.__name__
     return perturb
 
 
-def _perturb_image_labelled_rows(perturb, target_dim):
-    real_rows = hilbert_mod._labelled_rows
+def _perturb_row_tables(perturb, num_vars):
+    real_table = hilbert_mod._row_table
 
-    def rows(scheme, dim, t):
-        labelled = list(real_rows(scheme, dim, t))
-        if dim == target_dim:
-            labelled = [(label, scale, dict(row)) for label, scale, row in labelled]
-            perturb(labelled)
-        yield from labelled
+    def table(nvars, support, g, t):
+        entries = real_table(nvars, support, g, t)
+        return perturb(entries, nvars) if nvars == num_vars else entries
 
-    return rows
+    return table
 
 
 def _perturbed_schemes():
+    # a simple point comes first, so that the first table pair checked fails
+    collinear = gen_random(2, 3, [2, 1, 1], config="collinear", seed=5)
     return [
-        (make_scheme(1, [((1, 2), 2), ((1, -1), 1)]), 2),
-        (make_scheme(2, [((1, 2, -1), 2), ((0, 1, 3), 1)]), 4),
-        (gen_random(2, 3, [2, 1, 1], config="collinear", seed=5), 3),
+        (make_scheme(1, [((1, -1), 1), ((1, 2), 2)]), 2),
+        (make_scheme(2, [((0, 1, 3), 1), ((1, 2, -1), 2)]), 4),
+        (make_scheme(2, [(p.coords, m) for p, m in reversed(collinear.components)]), 3),
     ]
 
 
 _PERTURBATIONS = [
-    _change_first_entry,
-    _drop_first_row,
-    _append_old_column_row,
-    _append_first_row_again,
-    _at_simple_point_row(_add_to_least_entry),
-    _at_simple_point_row(_clear_row),
+    pytest.param(perturb, side, id=perturb.__name__)
+    for perturb, side in [
+        (_change_first_entry, "source"),
+        (_drop_first_row, "image"),
+        (_append_old_column_row, "image"),
+        (_append_first_row_again, "image"),
+        (_at_simple_point_row(_add_to_least_entry), "image"),
+        (_at_simple_point_row(_clear_row), "image"),
+    ]
 ]
 
 
-@pytest.mark.parametrize("perturb", _PERTURBATIONS, ids=lambda perturb: perturb.__name__)
-def test_image_rows_that_do_not_split_raise(monkeypatch, perturb):
+@pytest.mark.parametrize("perturb, side", _PERTURBATIONS)
+def test_image_rows_that_do_not_split_raise(monkeypatch, perturb, side):
+    certificates = hilbert_mod._new_variable_table
     for scheme, target_dim in _perturbed_schemes():
         image = embed(scheme, target_dim)
+        num_vars = (scheme.ambient_dim if side == "source" else target_dim) + 1
+        hook = _perturb_row_tables(perturb, num_vars)
         for t in range(regularity_index(scheme) + 2):
-            hook = _perturb_image_labelled_rows(perturb, target_dim)
             calls = [
                 lambda: hilbert_function(scheme, t, target_dim),
                 lambda: hilbert_mod.restriction_ranks(scheme, target_dim, t),
             ]
             for call in calls:
                 hilbert_mod._rank_at_degree.cache_clear()
+                certificates.cache_clear()
                 with monkeypatch.context() as mp:
-                    mp.setattr(hilbert_mod, "_labelled_rows", hook)
+                    mp.setattr(hilbert_mod, "_row_table", hook)
                     with pytest.raises(InternalBoundViolation):
                         call()
-                # nothing was stored, so the true rows give the true rank
+                # nothing was stored, so the true tables give the true rank
                 assert hilbert_mod._rank_at_degree.cache_info().currsize == 0
+                assert certificates.cache_info().currsize == 0
                 rows, ncols = _int_rows(image, target_dim, t)
                 assert hilbert_function(scheme, t, target_dim) == _rank_of_int_rows(rows, ncols)
                 if ncols <= 40:
@@ -698,6 +703,49 @@ def test_image_ranks_add_the_source_rank_to_the_new_variable_rows(monkeypatch):
 
 def _source_row_count(scheme, t):
     return sum(1 for _ in hilbert_mod._labelled_rows(scheme, scheme.ambient_dim, t))
+
+
+def _meets_a_new_variable(alpha, n):
+    return any(v > n for v, _ in alpha)
+
+
+def test_an_image_miss_builds_only_the_new_variable_rows(monkeypatch):
+    shapes = [(1, [2, 1, 1]), (2, [2, 2, 1]), (3, [2, 1, 1])]
+    for config in ("generic", "collinear", "rnc"):
+        for seed, (n, mults) in enumerate(shapes):
+            z = gen_random(n, len(mults), mults, config=config, seed=seed + 40)
+            for m in (n + 1, n + 2, n + 3):
+                for t in range(regularity_index(z) + 2):
+                    labelled = hilbert_mod._labelled_rows(z, m, t)
+                    expected = [row for (_, alpha), _, row in labelled if _meets_a_new_variable(alpha, n)]
+                    hilbert_mod._rank_at_degree.cache_clear()
+                    eliminated = []
+                    with monkeypatch.context() as mp:
+                        builds = _counting_row_builds(mp)
+                        mp.setattr(
+                            hilbert_mod,
+                            "_rank_of_int_rows",
+                            lambda rows, ncols: eliminated.append(rows) or _rank_of_int_rows(rows, ncols),
+                        )
+                        hilbert_function(z, t, m)
+                    assert (builds, eliminated) == ([], [expected]), (z, m, t)
+    # the certificate gives the image table's new-variable entries, in order
+    for z in _support_pattern_schemes():
+        n = z.ambient_dim
+        for m in (n + 1, n + 2, n + 3):
+            for t in range(5):
+                for point, mult in z.components:
+                    support, g = point._integral[1], min(mult - 1, t)
+                    expected = tuple(
+                        (columns, coefficients)
+                        for alpha, columns, coefficients in hilbert_mod._row_table(m + 1, support, g, t)
+                        if _meets_a_new_variable(alpha, n)
+                    )
+                    got = hilbert_mod._new_variable_table(n + 1, m + 1, support, g, t)
+                    assert got == expected, (z, m, t, support)
+    info = hilbert_mod._new_variable_table.cache_info()
+    assert info.maxsize == 2048 and info.currsize <= 2048
+    hilbert_mod._rank_at_degree.cache_clear()
 
 
 def test_old_column_map_increases_and_keeps_exponents():
