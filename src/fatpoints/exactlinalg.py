@@ -129,24 +129,31 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
+def _insert(pivots: dict, row: dict):
+    """Combine ``row`` through :func:`_combine` with the pivot row of its
+    least key until it vanishes or becomes that key's pivot row, divided by
+    the gcd of its entries, so every pivot row is primitive.  Returns the
+    new key, or None; any ordered keys work."""
+    while row and (key := min(row)) in pivots:
+        row = _combine(row, pivots[key], key)
+    if row:
+        pivots[key] = _primitive(row)
+    return key if row else None
+
+
 def _echelon(rows: Iterable[dict[int, int]], ncols: int):
     """Forward elimination on sparse integer rows, by leading-column insertion.
 
     Returns ``(echelon_rows, pivot_cols)`` with ``pivot_cols`` increasing and
     ``echelon_rows[k]`` having its least column at ``pivot_cols[k]``.  Each
-    row, in input order, is combined through :func:`_combine` with the pivot
-    row of its least column until it vanishes or becomes that column's pivot
-    row, divided by the gcd of its entries, so every echelon row is
-    primitive.  Reading stops once all ``ncols`` columns have a pivot.
+    row, in input order, goes through :func:`_insert`.  Reading stops once
+    all ``ncols`` columns have a pivot.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
         if len(pivot_rows) == ncols:
             break
-        while row and (col := min(row)) in pivot_rows:
-            row = _combine(row, pivot_rows[col], col)
-        if row:
-            pivot_rows[col] = _primitive(row)
+        _insert(pivot_rows, row)
     pivots = sorted(pivot_rows)
     return [pivot_rows[col] for col in pivots], pivots
 

@@ -29,7 +29,7 @@ every point, so p_i = c_i / q.  Entry (i, alpha) of a degree-d monomial's
 vector is then its exact value times q^(d - |alpha|): one nonzero factor
 per vector times one per functional, which changes no linear dependency
 and no rank on a set of keys, and leaves every entry an integer.  Each
-candidate is reduced by ``exactlinalg``'s insertion step at its least key;
+candidate is reduced by ``exactlinalg._insert`` at its least key;
 a nonzero result is a new pivot and its monomial is standard, so after
 degree t the pivots number H(t) exactly.  Keys sort by decreasing level
 m_i - 1 - |alpha|.  The functionals of Z - k, every multiplicity lowered by
@@ -52,8 +52,8 @@ built sparse and integral from the point times lead_i, the common
 denominator of its coordinates, which scales it by lead_i^(t - g_i);
 ``conditions_matrix`` divides that out.  Writing beta = alpha + delta, the
 columns and coefficients C(beta, delta) depend only on the number of
-variables, the point's support, g_i and t, so they come from the bounded
-cache ``_row_table``, and per point only the powers c^delta are computed.
+variables, the point's support, g_i and t, so they come from the point-free
+table ``_row_table``, and per point only the powers c^delta are computed.
 The image's rows are Z's rows lifted onto the old-variable columns and rows
 that meet no old-variable column, so its rank is Z's H(t) plus the rank of
 the other rows.  An image point has its source point's support and powers,
@@ -79,7 +79,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit, _brief
-from .exactlinalg import Matrix, binomial, _combine, _primitive, _rank_of_int_rows
+from .exactlinalg import Matrix, binomial, _insert, _rank_of_int_rows
 from .scheme import FatPointScheme, TruncatedScheme, UnitIdeal, _image_dim, multiplicity, truncate
 
 __all__ = [
@@ -150,14 +150,9 @@ def _pairs(first: int, num_vars: int, degree: int):
 
 
 @lru_cache(maxsize=None)
-def _monomials(num_vars: int, degree: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Degree-``degree`` monomials in ``num_vars`` variables, graded-lex order."""
-    return tuple(_pairs(0, num_vars, degree))
-
-
-@lru_cache(maxsize=None)
-def _column_index(num_vars: int, degree: int) -> dict[tuple, int]:
-    return {beta: k for k, beta in enumerate(_monomials(num_vars, degree))}
+def _monomials(num_vars: int, degree: int) -> dict[tuple[tuple[int, int], ...], int]:
+    """Each degree-``degree`` monomial in ``num_vars`` variables to its graded-lex column."""
+    return {beta: k for k, beta in enumerate(_pairs(0, num_vars, degree))}
 
 
 def _exponent_vector(monomial: tuple, num_vars: int) -> tuple[int, ...]:
@@ -173,7 +168,6 @@ def monomial_basis(num_vars: int, degree: int) -> MonomialBasis:
     return MonomialBasis(num_vars, degree, exponents)
 
 
-@lru_cache(maxsize=2048)
 def _row_table(num_vars: int, support: tuple[int, ...], g: int, t: int):
     """The point-free part of the degree-t rows of order g, for points whose
     nonzero coordinates sit exactly at ``support``.
@@ -183,7 +177,7 @@ def _row_table(num_vars: int, support: tuple[int, ...], g: int, t: int):
     support, the deltas in ``_monomials(len(support), t - g)`` order: the
     column of beta = alpha + delta and prod_j C(beta_j, delta_j).
     """
-    index = _column_index(num_vars, t)
+    index = _monomials(num_vars, t)
     deltas = [[(support[k], d) for k, d in local] for local in _monomials(len(support), t - g)]
     table = []
     for alpha in _monomials(num_vars, g):
@@ -215,8 +209,8 @@ def _labelled_rows(scheme: FatPointScheme, dim: int, t: int):
     With c the integer representative of P_i, row (i, alpha) has one entry
     prod_j C(alpha_j + delta_j, delta_j) * c^delta in column alpha + delta
     for each delta of degree t - g on the nonzero coordinates of c.
-    Columns and coefficients come from the cached ``_row_table`` of the
-    point's support; the powers c^delta are one list per component.  The
+    Columns and coefficients come from the ``_row_table`` of the point's
+    support; the powers c^delta are one list per component.  The
     row is the normalized point's row times scale = lead_i^(t - g).
     """
     for ci, (point, mult) in enumerate(scheme.components):
@@ -327,11 +321,9 @@ class _Pass:
         pivots, levels, last, known = self.pivots, [], {}, len(self.pivots)
         try:
             for beta in candidates:
-                row = self._times_variable(*parents[beta])
-                while row and (key := min(row)) in pivots:
-                    row = _combine(row, pivots[key], key)
-                if row:
-                    pivots[key] = last[beta] = _primitive(row)
+                key = _insert(pivots, self._times_variable(*parents[beta]))
+                if key is not None:
+                    last[beta] = pivots[key]
                     levels.append(-key[0])
         except BaseException:  # an interrupted degree leaves no trace in the memo
             for key in list(pivots)[known:]:
@@ -362,7 +354,7 @@ def _old_columns(source_vars: int, image_vars: int, t: int) -> list[int]:
     """The image column of each degree-t source column, in source order;
     a monomial in X_0..X_n is also one in X_0..X_m, and the list increases
     because both orders are the same graded-lex order."""
-    index = _column_index(image_vars, t)
+    index = _monomials(image_vars, t)
     return [index[beta] for beta in _monomials(source_vars, t)]
 
 

@@ -8,6 +8,7 @@ import fatpoints.exactlinalg as exactlinalg_mod
 from fatpoints.exactlinalg import (
     Matrix,
     _echelon,
+    _insert,
     _sparse_int_rows,
     binomial,
     nullspace_basis,
@@ -231,6 +232,27 @@ def test_echelon_reads_no_row_past_a_full_rank(monkeypatch):
     calls.clear()
     assert _echelon(full + extra, 5)[1] == [0, 1, 2, 3, 4]
     assert len(calls) == needed
+
+
+def test_insert_stores_a_new_row_primitive_at_its_least_key():
+    pivots = {1: {1: 1, 3: 2}, 2: {2: 3, 3: -1}}
+    before = {key: dict(row) for key, row in pivots.items()}
+    # in the span: 2 * pivots[1] - 4 * pivots[2]
+    assert _insert(pivots, {1: 2, 2: -12, 3: 8}) is None
+    assert pivots == before
+    # reduced by pivots[1] to {4: 6}, a new row, stored divided by its gcd
+    key = _insert(pivots, {1: 4, 3: 8, 4: 6})
+    assert key == 4 and pivots[4] == {4: 1}
+    # no pivot row at its least key: stored at once, divided by its gcd
+    key = _insert(pivots, {0: 6, 2: 9})
+    assert key == 0 and pivots[0] == {0: 2, 2: 3}
+    assert set(pivots) == {0, 1, 2, 4}
+    # tuple keys, as the Buchberger-Moller pass uses them
+    low, high = (-1, 0, ()), (0, 1, ((1, 1),))
+    pivots = {low: {low: 1, high: 2}}
+    assert _insert(pivots, {low: 3, high: 6}) is None
+    assert _insert(pivots, {low: 1, high: 5}) == high
+    assert pivots[high] == {high: 1}
 
 
 def test_echelon_edge_shapes_match_the_oracles():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import fatpoints.exactlinalg as exactlinalg_mod
 import fatpoints.hilbert as hilbert_mod
 from fatpoints.errors import (
     DegreeOutOfRange,
@@ -170,33 +171,56 @@ def test_row_tables_match_oracle_on_every_support_pattern():
     assert len(supports) == 7 + 15
 
 
-def _rows_and_ranks(schemes, degrees):
+def _image_values(before_miss=lambda: None):
+    """H(t) of each support-pattern scheme's images in P^(n+1..n+3), t < 5,
+    each an image miss."""
     out = []
-    for z in schemes:
-        for t in degrees:
-            rows, ncols = _int_rows(z, z.ambient_dim, t)
-            out.append((rows, _rank_of_int_rows(rows, ncols)))
+    for z in _support_pattern_schemes():
+        for m in range(z.ambient_dim + 1, z.ambient_dim + 4):
+            for t in range(5):
+                hilbert_mod._rank_at_degree.cache_clear()
+                before_miss()
+                out.append(hilbert_function(z, t, m))
     return out
 
 
-def test_rows_do_not_depend_on_the_table_cache(monkeypatch):
-    schemes = _support_pattern_schemes()
-    schemes += [embed(z, z.ambient_dim + 2) for z in schemes]
-    degrees = range(5)
-    expected = _rows_and_ranks(schemes, degrees)
-    # cleared before every build
-    cleared = []
-    for z in schemes:
-        for t in degrees:
-            hilbert_mod._row_table.cache_clear()
-            cleared += _rows_and_ranks([z], [t])
-    assert cleared == expected
+def test_image_values_do_not_depend_on_the_new_variable_table_cache(monkeypatch):
+    certificates = hilbert_mod._new_variable_table
+    # cleared before every image miss, against the padded schemes' own passes
+    cleared = _image_values(certificates.cache_clear)
+    padded = [
+        hilbert_function(embed(z, m), t)
+        for z in _support_pattern_schemes()
+        for m in range(z.ambient_dim + 1, z.ambient_dim + 4)
+        for t in range(5)
+    ]
+    assert cleared == padded
     # holding a single table
-    single = functools.lru_cache(maxsize=1)(hilbert_mod._row_table.__wrapped__)
-    monkeypatch.setattr(hilbert_mod, "_row_table", single)
-    assert _rows_and_ranks(schemes, degrees) == expected
-    assert single.cache_info().currsize == 1
-    assert single.cache_info().misses > 1
+    single = functools.lru_cache(maxsize=1)(certificates.__wrapped__)
+    with monkeypatch.context() as mp:
+        mp.setattr(hilbert_mod, "_new_variable_table", single)
+        assert _image_values() == cleared
+    assert single.cache_info().currsize == 1 and single.cache_info().misses > 1
+    # warm: every table comes from the cache
+    _image_values()
+    misses = certificates.cache_info().misses
+    assert _image_values() == cleared
+    assert certificates.cache_info().misses == misses
+    hilbert_mod._rank_at_degree.cache_clear()
+
+
+def test_the_hilbert_layer_keeps_four_caches():
+    caches = {
+        name: value.cache_info().maxsize
+        for name, value in vars(hilbert_mod).items()
+        if hasattr(value, "cache_info")
+    }
+    assert caches == {
+        "_monomials": None,
+        "_source_pass": 2,
+        "_new_variable_table": 2048,
+        "_rank_at_degree": None,
+    }
 
 
 def test_conditions_matrix_nullspace_is_ideal():
@@ -882,7 +906,7 @@ def test_an_interrupted_walk_leaves_the_pass_as_it_was(monkeypatch):
         hilbert_mod._rank_at_degree.cache_clear()
         hilbert_mod._source_pass.cache_clear()
         hilbert_function(z, 1)
-        calls, combine = [], hilbert_mod._combine
+        calls, combine = [], exactlinalg_mod._combine
 
         def interrupted(row, prow, col):
             calls.append(col)
@@ -891,7 +915,7 @@ def test_an_interrupted_walk_leaves_the_pass_as_it_was(monkeypatch):
             return combine(row, prow, col)
 
         with monkeypatch.context() as mp:
-            mp.setattr(hilbert_mod, "_combine", interrupted)
+            mp.setattr(exactlinalg_mod, "_combine", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 hilbert_function(z, 6)
         assert [hilbert_function(z, t, drop=k) for k in range(3) for t in range(7)] == expected
