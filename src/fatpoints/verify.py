@@ -7,7 +7,9 @@ scheme's Buchberger-Moller pass; the embedded side is a rank computation on
 the image's conditions rows, never the identity being tested.  The checks
 never pad a point: they ask the Hilbert layer about the image by passing
 ``target_dim``, and it builds the image's rows from the source points, so
-a value over the column cap is refused where it is evaluated.  Reports
+a value over the column cap is refused where it is evaluated.  The checks
+of one ``run_checks`` call share their value tables, ``_Side``, so each
+value is asked for once, where the first check to need it asks.  Reports
 carry the integer values of both sides, so a failing run is a
 self-contained counterexample certificate.
 """
@@ -15,6 +17,8 @@ self-contained counterexample certificate.
 from __future__ import annotations
 
 import json
+import math
+from _thread import get_ident
 from dataclasses import dataclass
 
 from .errors import (
@@ -26,7 +30,7 @@ from .errors import (
     TooFewPoints,
 )
 from .exactlinalg import binomial
-from .hilbert import hilbert_function, ideal_dim, regularity_index, restriction_ranks
+from .hilbert import hilbert_function, regularity_index, restriction_ranks
 from .scheme import FatPointScheme, multiplicity, scheme_fingerprint
 
 __all__ = [
@@ -86,20 +90,66 @@ def _report(check, scheme, target_dim, records, note="") -> VerificationReport:
     )
 
 
-def _require_target(scheme: FatPointScheme, target_dim: int, larger: bool = True) -> None:
-    """Refuse a target below the ambient dimension, or equal to it if larger."""
-    n = scheme.ambient_dim
-    if larger and target_dim <= n:
-        raise TargetTooSmall(target_dim, n, "must exceed")
-    if target_dim < n:
-        raise TargetTooSmall(target_dim, n)
+class _Side:
+    """Hilbert values of the scheme, or with ``target_dim`` of its image,
+    each asked of the Hilbert layer on its first read and kept after."""
+
+    def __init__(self, scheme: FatPointScheme, target_dim: int | None = None):
+        self.scheme = scheme
+        self.target_dim = target_dim
+        self.dim = scheme.ambient_dim if target_dim is None else target_dim
+        self._reg = None
+        self._h = {}
+
+    def reg(self) -> int:
+        if self._reg is None:
+            self._reg = regularity_index(self.scheme, self.target_dim)
+        return self._reg
+
+    def h(self, t: int, drop: int = 0) -> int:
+        """H(t), of the truncation by ``drop`` when it is positive."""
+        key = (t, drop)
+        if key not in self._h:
+            self._h[key] = hilbert_function(self.scheme, t, self.target_dim, drop)
+        return self._h[key]
+
+    def ideal_dim(self, t: int, drop: int = 0) -> int:
+        return binomial(t + self.dim, self.dim) - self.h(t, drop)
+
+
+# the (source, image) tables of the run_checks call each thread is in,
+# removed when the call returns
+_running: dict[int, tuple[_Side, _Side]] = {}
+
+
+def _sides(
+    scheme: FatPointScheme, target_dim: int | None = None, larger: bool = True
+) -> tuple[_Side, _Side]:
+    """The (source, image) tables of the run_checks call in progress on this
+    scheme object and target, or a new pair for a check called on its own.
+    A target below the ambient dimension, or equal to it if ``larger``, is
+    refused; without a target only the source table is meant."""
+    if target_dim is not None:
+        n = scheme.ambient_dim
+        if larger and target_dim <= n:
+            raise TargetTooSmall(target_dim, n, "must exceed")
+        if target_dim < n:
+            raise TargetTooSmall(target_dim, n)
+    sides = _running.get(get_ident())
+    if (
+        sides is None
+        or sides[0].scheme is not scheme
+        or target_dim not in (None, sides[1].target_dim)
+    ):
+        sides = _Side(scheme), _Side(scheme, target_dim)
+    return sides
 
 
 def check_reg_invariance(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     """Regularity index before and after embedding, by two full rank scans."""
-    _require_target(scheme, target_dim, larger=False)
-    reg_source = regularity_index(scheme)
-    reg_image = regularity_index(scheme, target_dim)
+    source, image = _sides(scheme, target_dim, larger=False)
+    reg_source = source.reg()
+    reg_image = image.reg()
     rec = CheckRecord(
         t=None,
         lhs=reg_source,
@@ -113,15 +163,15 @@ def check_reg_invariance(scheme: FatPointScheme, target_dim: int) -> Verificatio
 def check_stable_range(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     """In the stable range both Hilbert functions equal their multiplicity
     formulas, and the embedded one dominates, strictly unless all m_i = 1."""
-    _require_target(scheme, target_dim)
+    source, image = _sides(scheme, target_dim)
     e_n = multiplicity(scheme)
     all_simple = all(mi == 1 for mi in scheme.multiplicities)
-    reg = regularity_index(scheme)
+    reg = source.reg()
     e_m = multiplicity(scheme, target_dim)
     records = []
     for t in (reg, reg + 1):
-        h_n = hilbert_function(scheme, t)
-        h_m = hilbert_function(scheme, t, target_dim)
+        h_n = source.h(t)
+        h_m = image.h(t)
         records.append(
             CheckRecord(t, h_m, e_m, h_m == e_m, "embedded H equals its multiplicity")
         )
@@ -137,15 +187,22 @@ def check_stable_range(scheme: FatPointScheme, target_dim: int) -> VerificationR
     return _report("stable_range", scheme, target_dim, records)
 
 
-def _truncation_sum(scheme: FatPointScheme, target_dim: int, t: int, shift: int = 0) -> int:
+def _truncation_sum(source: _Side, target_dim: int, t: int, shift: int = 0) -> int:
     """dim I_Z(t) + sum_{i<t} C(m-n-1+shift+t-i, t-i) * dim I_trunc(t-i)(i): with
     shift 0, the embedded ideal dimension the transfer formula predicts."""
-    n, m = scheme.ambient_dim, target_dim
-    total = ideal_dim(scheme, t)
+    n, m = source.dim, target_dim
+    total = source.ideal_dim(t)
     for i in range(t):
         drop = t - i
-        total += binomial(m - n - 1 + shift + drop, drop) * ideal_dim(scheme, i, drop=drop)
+        total += binomial(m - n - 1 + shift + drop, drop) * source.ideal_dim(i, drop)
     return total
+
+
+def _transfer_rhs(source: _Side, target_dim: int, t: int) -> int:
+    reg = source.reg()
+    if t < 0 or t >= reg:
+        raise DegreeOutOfRange(f"transfer formula needs 0 <= t < reg = {reg}, got {t}")
+    return binomial(t + target_dim, target_dim) - _truncation_sum(source, target_dim, t)
 
 
 def transfer_rhs(scheme: FatPointScheme, target_dim: int, t: int) -> int:
@@ -158,21 +215,16 @@ def transfer_rhs(scheme: FatPointScheme, target_dim: int, t: int) -> int:
     multiplicities lowered by k (zero for the unit ideal).  Defined for
     0 <= t < reg only.
     """
-    _require_target(scheme, target_dim)
-    reg = regularity_index(scheme)
-    if t < 0 or t >= reg:
-        raise DegreeOutOfRange(f"transfer formula needs 0 <= t < reg = {reg}, got {t}")
-    return binomial(t + target_dim, target_dim) - _truncation_sum(scheme, target_dim, t)
+    return _transfer_rhs(_sides(scheme, target_dim)[0], target_dim, t)
 
 
 def check_transfer(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     """Embedded Hilbert value vs the transfer formula, for every t below reg."""
-    _require_target(scheme, target_dim)
-    reg = regularity_index(scheme)
+    source, image = _sides(scheme, target_dim)
     records = []
-    for t in range(reg):
-        lhs = hilbert_function(scheme, t, target_dim)
-        rhs = binomial(t + target_dim, target_dim) - _truncation_sum(scheme, target_dim, t)
+    for t in range(source.reg()):
+        lhs = image.h(t)
+        rhs = _transfer_rhs(source, target_dim, t)
         records.append(CheckRecord(t, lhs, rhs, lhs == rhs, "embedded H vs transfer formula"))
     note = "" if records else "no degrees below the regularity index"
     return _report("transfer", scheme, target_dim, records, note)
@@ -185,16 +237,16 @@ def check_cor46(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     Strictness is asserted for t >= 1 only: at t = 0 both sides are 1, so
     the record there checks that boundary equality instead.
     """
-    _require_target(scheme, target_dim)
-    reg = regularity_index(scheme)
+    source, image = _sides(scheme, target_dim)
+    reg = source.reg()
     single_step = target_dim == scheme.ambient_dim + 1
     some_fat = any(mi >= 2 for mi in scheme.multiplicities)
     additive, dominance, strictness = [], [], []
     for t in range(reg + 2):
-        h_m = hilbert_function(scheme, t, target_dim)
-        h_n = hilbert_function(scheme, t)
+        h_m = image.h(t)
+        h_n = source.h(t)
         if single_step and t < reg:
-            rhs = h_n + sum(hilbert_function(scheme, i, drop=t - i) for i in range(t))
+            rhs = h_n + sum(source.h(i, t - i) for i in range(t))
             additive.append(CheckRecord(t, h_m, rhs, h_m == rhs, "single-step additive identity"))
         dominance.append(CheckRecord(t, h_m, h_n, h_m >= h_n, "embedded H dominates"))
         if some_fat and t == 0:
@@ -211,12 +263,11 @@ def check_cor46(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
 def _dimension_identity_records(scheme, target_dim, shift):
     """Records for the ideal-dimension identity with new-variable coefficient
     C(m - n - 1 + shift + d, d); shift selects the variant."""
-    _require_target(scheme, target_dim)
-    reg = regularity_index(scheme)
+    source, image = _sides(scheme, target_dim)
     records = []
-    for t in range(reg):
-        lhs = ideal_dim(scheme, t, target_dim)
-        rhs = _truncation_sum(scheme, target_dim, t, shift)
+    for t in range(source.reg()):
+        lhs = image.ideal_dim(t)
+        rhs = _truncation_sum(source, target_dim, t, shift)
         records.append(
             CheckRecord(t, lhs, rhs, lhs == rhs, "embedded ideal dimension vs sum")
         )
@@ -248,7 +299,7 @@ def check_prop44_displayed(scheme: FatPointScheme, target_dim: int) -> Verificat
     )
 
 
-def _restriction_records(scheme: FatPointScheme, target_dim: int, t: int) -> list[CheckRecord]:
+def _restriction_records(source: _Side, image: _Side, t: int) -> list[CheckRecord]:
     """Degree-t records for substituting zeros for the new variables.
 
     (i) Membership compares two subspaces of the image ideal I_t: lhs is
@@ -260,12 +311,12 @@ def _restriction_records(scheme: FatPointScheme, target_dim: int, t: int) -> lis
     (ii) The members of I_t involving only the old variables form a space
     of exactly the source ideal's dimension.
     """
-    n, m = scheme.ambient_dim, target_dim
-    image_dim = ideal_dim(scheme, t, m)
-    stacked, restricted = restriction_ranks(scheme, m, t)
+    n, m = source.dim, image.dim
+    image_dim = image.ideal_dim(t)
+    stacked, restricted = restriction_ranks(source.scheme, m, t)
     kept = binomial(t + m, m) - stacked
     inter_dim = binomial(t + n, n) - restricted
-    source_dim = ideal_dim(scheme, t)
+    source_dim = source.ideal_dim(t)
     membership = CheckRecord(
         t,
         kept,
@@ -286,20 +337,20 @@ def _restriction_records(scheme: FatPointScheme, target_dim: int, t: int) -> lis
 def check_restriction(scheme: FatPointScheme, target_dim: int, t: int) -> VerificationReport:
     """Degree-t restriction checks: ideal membership after substituting zeros,
     and the intersection-dimension identity."""
-    _require_target(scheme, target_dim)
-    return _report("restriction", scheme, target_dim, _restriction_records(scheme, target_dim, t))
+    records = _restriction_records(*_sides(scheme, target_dim), t)
+    return _report("restriction", scheme, target_dim, records)
 
 
 def check_restriction_range(
     scheme: FatPointScheme, target_dim: int, max_degree: int | None = None
 ) -> VerificationReport:
     """Restriction checks for every degree up to reg + 1 (or max_degree)."""
-    _require_target(scheme, target_dim)
+    source, image = _sides(scheme, target_dim)
     if max_degree is None:
-        max_degree = regularity_index(scheme) + 1
+        max_degree = source.reg() + 1
     records = []
     for t in range(max_degree + 1):
-        records.extend(_restriction_records(scheme, target_dim, t))
+        records.extend(_restriction_records(source, image, t))
     return _report("restriction", scheme, target_dim, records)
 
 
@@ -310,7 +361,7 @@ def check_lemma23(scheme: FatPointScheme) -> VerificationReport:
             "lemma23", scheme, None, [], note="not applicable: scheme has a single point"
         )
     m1, m2 = sorted(scheme.multiplicities, reverse=True)[:2]
-    reg = regularity_index(scheme)
+    reg = _sides(scheme)[0].reg()
     rec = CheckRecord(
         t=None,
         lhs=reg,
@@ -345,11 +396,13 @@ def points_on_rnc(scheme: FatPointScheme) -> bool:
 
     A point (a_0 : ... : a_n) lies on the curve exactly when the 2 x n
     matrix with rows (a_0 ... a_{n-1}) and (a_1 ... a_n) has rank at most
-    one; in P^1 that is every point.
+    one; in P^1 that is every point.  Each point is scaled to integers by
+    the lcm of its denominators, which keeps the rank.
     """
     n = scheme.ambient_dim
     for point in scheme.points:
-        a = point.coords
+        lead = math.lcm(*(c.denominator for c in point.coords))
+        a = [c.numerator * (lead // c.denominator) for c in point.coords]
         for i in range(n):
             for j in range(i + 1, n):
                 if a[i] * a[j + 1] - a[j] * a[i + 1] != 0:
@@ -366,10 +419,10 @@ def check_rnc(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
         raise NotOnRationalNormalCurve(
             "a point is off the rational normal curve; the formula does not apply"
         )
-    _require_target(scheme, target_dim, larger=False)
+    source, image = _sides(scheme, target_dim, larger=False)
     expected = rnc_reg_formula(scheme.multiplicities, scheme.ambient_dim)
-    reg_source = regularity_index(scheme)
-    reg_image = regularity_index(scheme, target_dim)
+    reg_source = source.reg()
+    reg_image = image.reg()
     records = [
         CheckRecord(None, reg_source, expected, reg_source == expected, "reg vs formula"),
         CheckRecord(
@@ -438,9 +491,16 @@ def run_checks(
         "rnc": [lambda scheme, target_dim: _rnc_report(scheme, target_dim, explicit)],
     }
     reports = []
-    for name in CHECK_NAMES:
-        if name in requested:
-            reports.extend(check(scheme, target_dim) for check in table[name])
+    thread = get_ident()
+    _running[thread] = _Side(scheme), _Side(scheme, target_dim)
+    try:
+        for name in CHECK_NAMES:
+            if name in requested:
+                reports.extend(check(scheme, target_dim) for check in table[name])
+    finally:
+        # a nested call has already removed the entry; the checks left
+        # after it read their own tables
+        _running.pop(thread, None)
     return reports
 
 
@@ -462,8 +522,11 @@ def report_to_json_dict(report: VerificationReport) -> dict:
     return doc
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
+
+
 def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_json_dict(report), sort_keys=True, separators=(", ", ": "))
+    return _ENCODER.encode(report_to_json_dict(report))
 
 
 def report_from_json(text: str) -> VerificationReport:
