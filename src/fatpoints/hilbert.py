@@ -1,26 +1,31 @@
-"""Hilbert functions of fat point schemes: one Buchberger-Moller pass per
-scheme for its own values, vanishing-conditions rows for its image.
+"""Hilbert functions of fat point schemes and of their images: one
+Buchberger-Moller pass per scheme and ambient dimension.
 
 For a scheme Z = m1*P1 + ... + ms*Ps in P^n, H(t) is the number of
 independent conditions Z imposes on degree-t forms, dim (I_Z)_t =
 C(t+n, n) - H(t), and the regularity index is the first t where H(t)
 reaches the multiplicity e = sum C(m_i + n - 1, n).
 
-Z's own values come from one pass over the functionals of its points, after
+Every value comes from one pass over the functionals of the points, after
 Marinari, Moller and Mora (AAECC 4, 1993) and Abbott, Bigatti, Kreuzer and
-Robbiano (J. Symbolic Comput. 30, 2000).  The chart is L = 1 for
-L = X_0 + k X_1 + ... + k^n X_n, with the least k >= 0 at which L vanishes
-at no point (each point excludes at most n values).  L is then a
-nonzerodivisor modulo I_Z, so setting L = 1 maps the degree-t forms
-one-to-one onto the polynomials of degree <= t in X_1, ..., X_n, and a
-form lies in I_Z exactly when its image is killed by the e functionals
+Robbiano (J. Symbolic Comput. 30, 2000), in P^dim: P^n for Z itself, and
+P^m for its image embed(Z, m), whose points are Z's padded with zeros.  The
+chart is L = 1 for L = X_0 + k X_1 + ... + k^n X_n, with the least k >= 0
+at which L vanishes at no point (each point excludes at most n values).  A
+padded point has its source point's nonzero coordinates, so it takes the
+same chart, and no image scheme is built.  L is then a nonzerodivisor
+modulo the ideal, so setting L = 1 maps the degree-t forms one-to-one onto
+the polynomials of degree <= t in X_1, ..., X_dim, and a form lies in the
+ideal exactly when its image is killed by the e functionals
 (i, alpha) -> D^alpha f(p_i), |alpha| <= m_i - 1, with D^alpha the
 divided-power derivative and p_i the affine point.  H(t) is therefore the
 rank of the functional vectors of the monomials of degree <= t, whatever
 the chart.  The pass takes the monomials degree by degree in graded-lex
 order, which is multiplicative, and only those whose divisors are all
 standard: a multiple of a non-standard monomial lies in the span of smaller
-ones.  A candidate's vector is a standard monomial's stored vector times X_j,
+ones.  Each candidate is found once, as a standard monomial gamma times X_j
+with j at least gamma's last variable, and its vector is gamma's stored
+vector times X_j,
 
     w[i, alpha] = c_ij * w[i, alpha] + w[i, alpha - e_j],
 
@@ -38,8 +43,15 @@ pivot lies past a prefix is zero on it: the pivots of level >= k number
 H(t) of Z - k.  A pass walks only as far as it is asked, and stops once
 its pivots number e.
 
-The image embed(Z, m), whose points are Z's padded with zeros, is answered
-from Z's points in m + 1 variables, by rows.  Its conditions matrix has one
+In the image's pass, the functionals D^alpha with alpha in the old
+variables X_1, ..., X_n are the source's, so restriction, setting the new
+variables to zero, maps the image's ideal into the source's.  The vector of
+x^a y^b, with x the old variables and y the new, is supported on the keys
+whose alpha has new-variable part b, so the standard monomials in x alone
+are the source's, in the same order, and their count up to degree t is the
+source's H(t) from the image's own walk.
+
+``conditions_matrix`` builds the conditions matrix itself.  It has one
 column per degree-t monomial and one row per pair (point, multi-index alpha
 of order g_i = min(m_i - 1, t)): by Euler's formula, for |alpha| < t,
 
@@ -50,15 +62,7 @@ has more rows than columns.  The entry in row (i, alpha) and column beta is
 C(beta, alpha) * P_i^(beta - alpha), zero unless alpha <= beta.  Each row is
 built sparse and integral from the point times lead_i, the common
 denominator of its coordinates, which scales it by lead_i^(t - g_i);
-``conditions_matrix`` divides that out.  Writing beta = alpha + delta, the
-columns and coefficients C(beta, delta) depend only on the number of
-variables, the point's support, g_i and t, so they come from the point-free
-table ``_row_table``, and per point only the powers c^delta are computed.
-The image's rows are Z's rows lifted onto the old-variable columns and rows
-that meet no old-variable column, so its rank is Z's H(t) plus the rank of
-the other rows.  An image point has its source point's support and powers,
-so equal table entries give equal rows: ``_new_variable_table`` checks the
-split once per pair of tables, and only the other rows are built.
+``conditions_matrix`` divides that out.
 
 A monomial or multi-index is the tuple of (variable, exponent) pairs of its
 nonzero exponents, X_0^2 X_3 as ((0, 2), (3, 1)), and an affine point a
@@ -76,10 +80,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit, _brief
-from .exactlinalg import Matrix, binomial, _insert, _rank_of_int_rows
+from .exactlinalg import Matrix, binomial, _insert
 from .scheme import FatPointScheme, TruncatedScheme, UnitIdeal, _image_dim, multiplicity, truncate
 
 __all__ = [
@@ -168,58 +171,34 @@ def monomial_basis(num_vars: int, degree: int) -> MonomialBasis:
     return MonomialBasis(num_vars, degree, exponents)
 
 
-def _row_table(num_vars: int, support: tuple[int, ...], g: int, t: int):
-    """The point-free part of the degree-t rows of order g, for points whose
-    nonzero coordinates sit exactly at ``support``.
-
-    For each alpha of degree g, in graded-lex order, a triple ``(alpha,
-    columns, coefficients)`` with one entry per delta of degree t - g on the
-    support, the deltas in ``_monomials(len(support), t - g)`` order: the
-    column of beta = alpha + delta and prod_j C(beta_j, delta_j).
-    """
-    index = _monomials(num_vars, t)
-    deltas = [[(support[k], d) for k, d in local] for local in _monomials(len(support), t - g)]
-    table = []
-    for alpha in _monomials(num_vars, g):
-        columns, coefficients = [], []
-        base = dict(alpha)
-        for delta in deltas:
-            beta = base.copy()
-            coefficient = 1
-            for j, d in delta:
-                beta[j] = b = beta.get(j, 0) + d
-                coefficient *= math.comb(b, d)
-            columns.append(index[tuple(sorted(beta.items()))])
-            coefficients.append(coefficient)
-        table.append((alpha, tuple(columns), tuple(coefficients)))
-    return tuple(table)
-
-
-def _powers(values: tuple[int, ...], d: int) -> list[int]:
-    """c^delta for each delta of degree d, in ``_monomials`` order, with
-    ``values`` the nonzero coordinates of c; none is zero."""
-    return [math.prod([values[k] ** e for k, e in local]) for local in _monomials(len(values), d)]
-
-
 def _labelled_rows(scheme: FatPointScheme, dim: int, t: int):
     """Yield ``((component, alpha), scale, row)`` for every degree-t row of
     the scheme's points in P^dim, by component, then alpha of order
     g = min(m_i - 1, t) in graded-lex order.
 
     With c the integer representative of P_i, row (i, alpha) has one entry
-    prod_j C(alpha_j + delta_j, delta_j) * c^delta in column alpha + delta
-    for each delta of degree t - g on the nonzero coordinates of c.
-    Columns and coefficients come from the ``_row_table`` of the point's
-    support; the powers c^delta are one list per component.  The
-    row is the normalized point's row times scale = lead_i^(t - g).
+    prod_j C(beta_j, delta_j) * c^delta in column beta = alpha + delta for
+    each delta of degree t - g on the nonzero coordinates of c, the deltas
+    and powers c^delta computed once per component.  The row is the
+    normalized point's row times scale = lead_i^(t - g).
     """
+    index = _monomials(dim + 1, t)
     for ci, (point, mult) in enumerate(scheme.components):
         lead, support, values = point._integral
         g = min(mult - 1, t)
-        powers = _powers(values, t - g)
-        scale = lead ** (t - g)
-        for alpha, columns, coefficients in _row_table(dim + 1, support, g, t):
-            yield (ci, alpha), scale, dict(zip(columns, map(mul, coefficients, powers)))
+        deltas = [
+            ([(support[k], d) for k, d in local], math.prod([values[k] ** d for k, d in local]))
+            for local in _monomials(len(support), t - g)
+        ]
+        for alpha in _monomials(dim + 1, g):
+            row = {}
+            for delta, coefficient in deltas:
+                beta = dict(alpha)
+                for j, d in delta:
+                    beta[j] = b = beta.get(j, 0) + d
+                    coefficient *= math.comb(b, d)
+                row[index[tuple(sorted(beta.items()))]] = coefficient
+            yield (ci, alpha), lead ** (t - g), row
 
 
 def _cap_check(ambient_dim: int, t: int) -> None:
@@ -277,16 +256,19 @@ def _times(monomial: tuple, j: int) -> tuple:
     return monomial + ((j, 1),)
 
 
-def _graded_lex(monomial: tuple) -> tuple:
-    """Sort key of one degree's monomials in ``_monomials`` order."""
-    return tuple((v, -e) for v, e in monomial)
+def _divide(monomial: tuple, k: int) -> tuple:
+    """The monomial divided by the variable of its k-th pair."""
+    v, e = monomial[k]
+    return monomial[:k] + (((v, e - 1),) if e > 1 else ()) + monomial[k + 1 :]
 
 
 class _Pass:
-    """Buchberger-Moller over the functionals of one scheme, degree by degree;
-    see the module docstring.  ``rank(t, drop)`` is H(t) of Z - drop."""
+    """Buchberger-Moller over the functionals of one scheme's points in P^dim,
+    degree by degree; see the module docstring.  ``rank(t, drop)`` is H(t)
+    of Z - drop, and ``old_rank(t)`` counts the standard monomials of degree
+    <= t in the scheme's own variables X_1, ..., X_n alone."""
 
-    def __init__(self, scheme: FatPointScheme):
+    def __init__(self, scheme: FatPointScheme, dim: int):
         points = [point._integral[1:] for point, _ in scheme.components]
         k = 0  # the least k at which L = sum_j k^j X_j vanishes at no point
         while not all(values := [sum(v * k**j for j, v in zip(*p)) for p in points]):
@@ -295,42 +277,60 @@ class _Pass:
         self.coords = [
             {j: v * (scale // value) for j, v in zip(*p) if j} for p, value in zip(points, values)
         ]
-        self.variables = range(1, scheme.ambient_dim + 1)
-        self.size = multiplicity(scheme)
+        self.dim, self.old = dim, scheme.ambient_dim
+        self.size = multiplicity(scheme, dim)
         # a key (-level, component, alpha) sorts by decreasing level m_i - 1 - |alpha|
         one = {(1 - m, i, ()): 1 for i, (_, m) in enumerate(scheme.components)}
         top = min(one)
         self.pivots = {top: one}
         self.levels = [[-top[0]]]  # the pivots' levels, by degree
+        # up to each degree: the pivots, and the standard monomials in X_1..X_n
+        self.totals, self.old_totals = [1], [1]
         self.last = {(): one}  # the last degree's standard monomials and their vectors
 
     def rank(self, t: int, drop: int = 0) -> int:
         while len(self.levels) <= t and len(self.pivots) < self.size:
             self._walk()
-        return sum(level >= drop for levels in self.levels[: t + 1] for level in levels)
+        if drop:
+            return sum(level >= drop for levels in self.levels[: t + 1] for level in levels)
+        return self.totals[min(t, len(self.totals) - 1)]
+
+    def old_rank(self, t: int) -> int:
+        self.rank(t)
+        return self.old_totals[min(t, len(self.old_totals) - 1)]
+
+    def _candidates(self):
+        """Each next-degree monomial whose divisors are all standard, in
+        graded-lex order, as (monomial, vector of gamma, j): found once, as
+        gamma * X_j with j at least the last variable of gamma."""
+        previous = self.last
+        for gamma, vector in previous.items():
+            for j in range(gamma[-1][0] if gamma else 1, self.dim + 1):
+                beta = _times(gamma, j)
+                # the divisor by X_j is gamma; the others must be standard too
+                if all(_divide(beta, k) in previous for k in range(len(beta) - 1)):
+                    yield beta, vector, j
 
     def _walk(self) -> None:
-        found, parents = {}, {}
-        for gamma, vector in self.last.items():
-            for j in self.variables:
-                beta = _times(gamma, j)
-                found[beta] = found.get(beta, 0) + 1
-                parents.setdefault(beta, (vector, j))
-        # a candidate is found once per variable it has, from each divisor
-        candidates = sorted((b for b, count in found.items() if count == len(b)), key=_graded_lex)
-        pivots, levels, last, known = self.pivots, [], {}, len(self.pivots)
+        pivots, known = self.pivots, len(self.pivots)
+        levels, last, old = [], {}, self.old_totals[-1]
         try:
-            for beta in candidates:
-                key = _insert(pivots, self._times_variable(*parents[beta]))
+            for beta, vector, j in self._candidates():
+                if len(pivots) == self.size:  # every later candidate reduces to zero
+                    break
+                key = _insert(pivots, self._times_variable(vector, j))
                 if key is not None:
                     last[beta] = pivots[key]
                     levels.append(-key[0])
+                    old += j <= self.old
         except BaseException:  # an interrupted degree leaves no trace in the memo
             for key in list(pivots)[known:]:
                 del pivots[key]
             raise
         self.last = last
         self.levels.append(levels)
+        self.totals.append(len(pivots))
+        self.old_totals.append(old)
 
     def _times_variable(self, vector: dict, j: int) -> dict:
         """w[i, alpha] = c_ij * w[i, alpha] + w[i, alpha - e_j]: the vector of
@@ -347,69 +347,13 @@ class _Pass:
         return {key: v for key, v in out.items() if v}
 
 
-_source_pass = lru_cache(maxsize=2)(_Pass)
-
-
-def _old_columns(source_vars: int, image_vars: int, t: int) -> list[int]:
-    """The image column of each degree-t source column, in source order;
-    a monomial in X_0..X_n is also one in X_0..X_m, and the list increases
-    because both orders are the same graded-lex order."""
-    index = _monomials(image_vars, t)
-    return [index[beta] for beta in _monomials(source_vars, t)]
-
-
-@lru_cache(maxsize=2048)
-def _new_variable_table(source_vars: int, image_vars: int, support: tuple, g: int, t: int):
-    """The ``(columns, coefficients)`` of the image table's entries whose
-    alpha meets a new variable, once the tables are checked to split: (a)
-    each source alpha's image entry is its source entry with the columns
-    mapped by ``_old_columns``, and (b) every other image entry meets no
-    old column.  A failure raises InternalBoundViolation."""
-    old = _old_columns(source_vars, image_vars, t)
-    source = {
-        alpha: (tuple(map(old.__getitem__, columns)), coefficients)
-        for alpha, columns, coefficients in _row_table(source_vars, support, g, t)
-    }
-    old_columns, new, split = set(old), [], True
-    for alpha, columns, coefficients in _row_table(image_vars, support, g, t):
-        if alpha in source:  # (a)
-            split &= source.pop(alpha) == (columns, coefficients)
-        else:  # (b)
-            split &= old_columns.isdisjoint(columns)
-            new.append((columns, coefficients))
-    if not split or source:  # a failed fact, or a source alpha with no image entry
-        raise InternalBoundViolation(f"degree-{t} row tables in P^{image_vars - 1} do not split")
-    return tuple(new)
+_pass = lru_cache(maxsize=2)(_Pass)
 
 
 @lru_cache(maxsize=None)
 def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> int:
-    """H(t) of the scheme's points in P^dim.
-
-    The scheme's own value, dim == n, is read from its pass; the pass memo
-    ``_source_pass`` keeps two schemes' passes, each extended on demand, so
-    the truncations read through ``hilbert_function(..., drop=k)`` share it.
-    For an image, dim > n, the rows split by two facts: (a) each lifted
-    source row is equal to the image row of the same label, and (b) every
-    other image row has no entry in an old-variable column.  So the matrix
-    is block diagonal up to a column permutation, and its rank is the
-    source's H(t), from this memo, plus the rank of the other rows.  An
-    image row and its source row share the point's powers, so equal table
-    entries give equal rows: ``_new_variable_table`` checks both facts on
-    the tables, and a failure raises InternalBoundViolation.
-    """
-    n = scheme.ambient_dim
-    if dim == n:
-        return _source_pass(scheme).rank(t)
-    rows = []
-    for point, mult in scheme.components:
-        _, support, values = point._integral
-        g = min(mult - 1, t)
-        table = _new_variable_table(n + 1, dim + 1, support, g, t)
-        if table:
-            powers = _powers(values, t - g)
-            rows += [dict(zip(columns, map(mul, coeffs, powers))) for columns, coeffs in table]
-    return _rank_at_degree(scheme, n, t) + _rank_of_int_rows(rows, binomial(t + dim, dim))
+    """H(t) of the scheme's points in P^dim, read from the pass memo ``_pass``."""
+    return _pass(scheme, dim).rank(t)
 
 
 def hilbert_function(
@@ -418,17 +362,17 @@ def hilbert_function(
     """H(t): independent conditions the scheme, or its image
     ``embed(scheme, target_dim)``, imposes on degree-t forms.
 
-    With ``drop``, the value is that of ``truncate(scheme, drop)``.  In the
-    scheme's own dimension a positive drop is read from the scheme's pass,
-    with no truncated scheme built."""
+    With ``drop``, the value is that of ``truncate(scheme, drop)``.  A
+    positive drop is read from the pass in P^dim, with no truncated scheme
+    built."""
     dim = _image_dim(scheme, target_dim)
     _cap_check(dim, t)
-    if drop and (drop < 0 or dim > scheme.ambient_dim):
+    if drop < 0:
         scheme, drop = truncate(scheme, drop), 0
     if isinstance(scheme, UnitIdeal):
         return 0
     if drop:
-        return _source_pass(scheme).rank(t, drop)
+        return _pass(scheme, dim).rank(t, drop)
     return _rank_at_degree(scheme, dim, t)
 
 
@@ -444,19 +388,21 @@ def ideal_dim(
 
 def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[int, int]:
     """Degree-t ranks ``(stacked, restricted)`` for restricting the image
-    ``embed(scheme, target_dim)`` to the old variables.
+    ``embed(scheme, target_dim)`` to the old variables, both from the
+    image's pass.
 
-    ``stacked`` is the rank of the image's conditions rows with the
-    source's rows appended, lifted onto the old-variable columns; it equals
-    the image's H(t) exactly when substituting zeros for the new variables
-    maps the image ideal into the source ideal.  ``restricted`` is the rank
-    of the image's rows restricted to the old-variable columns.  Both are
-    read from the rank memo, warmed here if cold: as the image's rows
-    split into the lifted source rows and rows that meet no old-variable
-    column, ``stacked`` is the image's H(t) and ``restricted`` the source's.
+    ``stacked`` is the rank of the image's functionals with the source's
+    appended; it equals the image's H(t) exactly when substituting zeros
+    for the new variables maps the image ideal into the source ideal.
+    Every source functional is an image functional, so it is the image's
+    H(t).  ``restricted`` is the number of the image pass's standard
+    monomials of degree <= t in the old variables alone.  Their vectors
+    meet only the source's functionals, so it is the rank of the image's
+    functionals on the forms in the old variables, the source's H(t); the
+    source's own pass is a separate walk, so comparing the two can fail.
     """
     _cap_check(_image_dim(scheme, target_dim), t)
-    return _rank_at_degree(scheme, target_dim, t), _rank_at_degree(scheme, scheme.ambient_dim, t)
+    return _rank_at_degree(scheme, target_dim, t), _pass(scheme, target_dim).old_rank(t)
 
 
 def regularity_index(scheme: FatPointScheme, target_dim: int | None = None) -> int:

@@ -3,11 +3,12 @@ its image under the coordinate-padding embedding.
 
 Every check recomputes both sides of an identity independently.  The
 source side, for the scheme and every truncation, is read from the
-scheme's Buchberger-Moller pass; the embedded side is a rank computation on
-the image's conditions rows, never the identity being tested.  The checks
-never pad a point: they ask the Hilbert layer about the image by passing
-``target_dim``, and it builds the image's rows from the source points, so
-a value over the column cap is refused where it is evaluated.  The checks
+scheme's Buchberger-Moller pass; the embedded side from the image's own
+pass over the functionals of the padded points, never from the identity
+being tested.  The checks never pad a point: they ask the Hilbert layer
+about the image by passing ``target_dim``, and it walks the source points
+in the image's variables, so a value over the column cap is refused where
+it is evaluated.  The checks
 of one ``run_checks`` call share their value tables, ``_Side``, so each
 value is asked for once, where the first check to need it asks.  Reports
 carry the integer values of both sides, so a failing run is a
@@ -309,7 +310,8 @@ def _restriction_records(source: _Side, image: _Side, t: int) -> list[CheckRecor
     depends on a choice of basis.
 
     (ii) The members of I_t involving only the old variables form a space
-    of exactly the source ideal's dimension.
+    of exactly the source ideal's dimension: lhs counts them from the
+    image's pass, rhs from the source's.
     """
     n, m = source.dim, image.dim
     image_dim = image.ideal_dim(t)

@@ -1,5 +1,4 @@
 import collections
-import functools
 import random
 import time
 import tracemalloc
@@ -24,6 +23,7 @@ from fatpoints.hilbert import (
     regularity_index,
 )
 from fatpoints.exactlinalg import Matrix, _rank_of_int_rows, binomial, rank
+from fatpoints.verify import check_restriction_range
 from fatpoints.scheme import (
     UnitIdeal,
     embed,
@@ -171,56 +171,13 @@ def test_row_tables_match_oracle_on_every_support_pattern():
     assert len(supports) == 7 + 15
 
 
-def _image_values(before_miss=lambda: None):
-    """H(t) of each support-pattern scheme's images in P^(n+1..n+3), t < 5,
-    each an image miss."""
-    out = []
-    for z in _support_pattern_schemes():
-        for m in range(z.ambient_dim + 1, z.ambient_dim + 4):
-            for t in range(5):
-                hilbert_mod._rank_at_degree.cache_clear()
-                before_miss()
-                out.append(hilbert_function(z, t, m))
-    return out
-
-
-def test_image_values_do_not_depend_on_the_new_variable_table_cache(monkeypatch):
-    certificates = hilbert_mod._new_variable_table
-    # cleared before every image miss, against the padded schemes' own passes
-    cleared = _image_values(certificates.cache_clear)
-    padded = [
-        hilbert_function(embed(z, m), t)
-        for z in _support_pattern_schemes()
-        for m in range(z.ambient_dim + 1, z.ambient_dim + 4)
-        for t in range(5)
-    ]
-    assert cleared == padded
-    # holding a single table
-    single = functools.lru_cache(maxsize=1)(certificates.__wrapped__)
-    with monkeypatch.context() as mp:
-        mp.setattr(hilbert_mod, "_new_variable_table", single)
-        assert _image_values() == cleared
-    assert single.cache_info().currsize == 1 and single.cache_info().misses > 1
-    # warm: every table comes from the cache
-    _image_values()
-    misses = certificates.cache_info().misses
-    assert _image_values() == cleared
-    assert certificates.cache_info().misses == misses
-    hilbert_mod._rank_at_degree.cache_clear()
-
-
-def test_the_hilbert_layer_keeps_four_caches():
+def test_the_hilbert_layer_keeps_three_caches():
     caches = {
         name: value.cache_info().maxsize
         for name, value in vars(hilbert_mod).items()
         if hasattr(value, "cache_info")
     }
-    assert caches == {
-        "_monomials": None,
-        "_source_pass": 2,
-        "_new_variable_table": 2048,
-        "_rank_at_degree": None,
-    }
+    assert caches == {"_monomials": None, "_pass": 2, "_rank_at_degree": None}
 
 
 def test_conditions_matrix_nullspace_is_ideal():
@@ -439,123 +396,17 @@ def _plain_restriction_rows(scheme, target_dim, t):
 
 
 def _recorded_eliminations(mp):
-    """The rows of every elimination, in call order."""
+    """The rows of every row elimination, in call order."""
     calls = []
+    real_echelon = exactlinalg_mod._echelon
 
     def recorded(rows, ncols):
+        rows = list(rows)
         calls.append(rows)
-        return _rank_of_int_rows(rows, ncols)
+        return real_echelon(rows, ncols)
 
-    mp.setattr(hilbert_mod, "_rank_of_int_rows", recorded)
+    mp.setattr(exactlinalg_mod, "_echelon", recorded)
     return calls
-
-
-def _change_first_entry(table, num_vars):
-    # on the source table: the first coefficient of X_0^g, an old alpha;
-    # the columns still match, the coefficients do not: breaks (a) only
-    alpha, columns, coefficients = table[0]
-    return ((alpha, columns, (coefficients[0] + 1,) + coefficients[1:]),) + table[1:]
-
-
-def _drop_first_row(table, num_vars):
-    # the old alpha X_0^g has no image entry left: breaks (a) only
-    return table[1:]
-
-
-def _append_old_column_row(table, num_vars):
-    # an entry under a new-variable alpha that meets old columns: breaks (b) only
-    return table + ((((num_vars - 1, 1),), (0, 1), (1, 10**9)),)
-
-
-def _append_first_row_again(table, num_vars):
-    # the entry of X_0^g, an old alpha, repeated under X_0^g X_m: it meets
-    # old columns, so it breaks (b) only
-    alpha, columns, coefficients = table[0]
-    return table + ((alpha + ((num_vars - 1, 1),), columns, coefficients),)
-
-
-def _add_to_least_entry(entry):
-    # the least column moves up by one, the coefficients stay: breaks (a) only
-    alpha, columns, coefficients = entry
-    least = min(columns)
-    return alpha, tuple(c + (c == least) for c in columns), coefficients
-
-
-def _clear_row(entry):
-    # breaks (a) only
-    return entry[0], (), ()
-
-
-def _at_simple_point_row(change):
-    """Change the g = 0 entry, the one entry of a simple point's table."""
-
-    def perturb(table, num_vars):
-        return (change(table[0]),) if table[0][0] == () else table
-
-    perturb.__name__ = change.__name__
-    return perturb
-
-
-def _perturb_row_tables(perturb, num_vars):
-    real_table = hilbert_mod._row_table
-
-    def table(nvars, support, g, t):
-        entries = real_table(nvars, support, g, t)
-        return perturb(entries, nvars) if nvars == num_vars else entries
-
-    return table
-
-
-def _perturbed_schemes():
-    # a simple point comes first, so that the first table pair checked fails
-    collinear = gen_random(2, 3, [2, 1, 1], config="collinear", seed=5)
-    return [
-        (make_scheme(1, [((1, -1), 1), ((1, 2), 2)]), 2),
-        (make_scheme(2, [((0, 1, 3), 1), ((1, 2, -1), 2)]), 4),
-        (make_scheme(2, [(p.coords, m) for p, m in reversed(collinear.components)]), 3),
-    ]
-
-
-_PERTURBATIONS = [
-    pytest.param(perturb, side, id=perturb.__name__)
-    for perturb, side in [
-        (_change_first_entry, "source"),
-        (_drop_first_row, "image"),
-        (_append_old_column_row, "image"),
-        (_append_first_row_again, "image"),
-        (_at_simple_point_row(_add_to_least_entry), "image"),
-        (_at_simple_point_row(_clear_row), "image"),
-    ]
-]
-
-
-@pytest.mark.parametrize("perturb, side", _PERTURBATIONS)
-def test_image_rows_that_do_not_split_raise(monkeypatch, perturb, side):
-    certificates = hilbert_mod._new_variable_table
-    for scheme, target_dim in _perturbed_schemes():
-        image = embed(scheme, target_dim)
-        num_vars = (scheme.ambient_dim if side == "source" else target_dim) + 1
-        hook = _perturb_row_tables(perturb, num_vars)
-        for t in range(regularity_index(scheme) + 2):
-            calls = [
-                lambda: hilbert_function(scheme, t, target_dim),
-                lambda: hilbert_mod.restriction_ranks(scheme, target_dim, t),
-            ]
-            for call in calls:
-                hilbert_mod._rank_at_degree.cache_clear()
-                certificates.cache_clear()
-                with monkeypatch.context() as mp:
-                    mp.setattr(hilbert_mod, "_row_table", hook)
-                    with pytest.raises(InternalBoundViolation):
-                        call()
-                # nothing was stored, so the true tables give the true rank
-                assert hilbert_mod._rank_at_degree.cache_info().currsize == 0
-                assert certificates.cache_info().currsize == 0
-                rows, ncols = _int_rows(image, target_dim, t)
-                assert hilbert_function(scheme, t, target_dim) == _rank_of_int_rows(rows, ncols)
-                if ncols <= 40:
-                    assert hilbert_function(scheme, t, target_dim) == naive_hilbert(image, t)
-    hilbert_mod._rank_at_degree.cache_clear()
 
 
 def _counting_row_builds(mp):
@@ -583,7 +434,7 @@ def _restriction_cases():
 def test_restriction_certified_from_warm_memo(monkeypatch):
     for scheme, target_dim, t in _restriction_cases():
         plain = _plain_restriction_rows(scheme, target_dim, t)
-        # both ranks are read from the memo entry of the image's H(t)
+        # both ranks are read from the image's pass, which has walked to t
         hilbert_function(scheme, t, target_dim)
         with monkeypatch.context() as mp:
             calls = _recorded_eliminations(mp)
@@ -591,20 +442,6 @@ def test_restriction_certified_from_warm_memo(monkeypatch):
             got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
         assert (calls, builds) == ([], [])
         assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
-
-
-def test_restriction_ranks_warm_a_cleared_memo(monkeypatch):
-    for scheme, target_dim, t in _restriction_cases():
-        plain = _plain_restriction_rows(scheme, target_dim, t)
-        hilbert_mod._rank_at_degree.cache_clear()
-        with monkeypatch.context() as mp:
-            calls = _recorded_eliminations(mp)
-            got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
-        # the image's rows split; only the rows that are no lifted source
-        # row are eliminated, and the source's H(t) comes from its pass
-        assert len(calls) == 1
-        assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
-        assert list(got) == [hilbert_function(scheme, t, target_dim), hilbert_function(scheme, t)]
 
 
 def _memo_counts():
@@ -689,97 +526,6 @@ def test_embedded_rows_take_memory_by_columns_not_variables():
     assert peak < 8 * 2**20, peak
 
 
-def _image_miss(scheme, target_dim, t, mp):
-    """The image's H(t) as a fresh rank-memo miss, with the rows of each
-    elimination recorded."""
-    hilbert_mod._rank_at_degree.cache_clear()
-    calls = _recorded_eliminations(mp)
-    return hilbert_function(scheme, t, target_dim), calls
-
-
-def test_image_ranks_add_the_source_rank_to_the_new_variable_rows(monkeypatch):
-    shapes = [(1, [2, 1, 1]), (2, [2, 2, 1]), (3, [2, 1, 1])]
-    for config in ("generic", "collinear", "rnc"):
-        for seed, (n, mults) in enumerate(shapes):
-            z = gen_random(n, len(mults), mults, config=config, seed=seed + 40)
-            for m in (n + 1, n + 2, n + 3):
-                for t in range(regularity_index(z) + 2):
-                    rows, ncols = _int_rows(embed(z, m), m, t)
-                    plain = _rank_of_int_rows(rows, ncols)
-                    source = _source_row_count(z, t)
-                    with monkeypatch.context() as mp:
-                        # cold: the image's miss is also the source's, whose
-                        # H(t) comes from its pass; only the other rows are
-                        # eliminated
-                        cold, calls = _image_miss(z, m, t, mp)
-                        assert (cold, list(map(len, calls))) == (plain, [len(rows) - source])
-                        assert _memo_counts() == (0, 2)
-                        # warm: the source's H(t) is read from the memo
-                        hilbert_mod._rank_at_degree.cache_clear()
-                        hilbert_function(z, t)
-                        calls.clear()
-                        warm = hilbert_function(z, t, m)
-                        assert (warm, list(map(len, calls))) == (plain, [len(rows) - source])
-                        assert _memo_counts() == (1, 2)
-                        assert hilbert_mod._rank_at_degree(z, m, t) == plain
-    hilbert_mod._rank_at_degree.cache_clear()
-
-
-def _source_row_count(scheme, t):
-    return sum(1 for _ in hilbert_mod._labelled_rows(scheme, scheme.ambient_dim, t))
-
-
-def _meets_a_new_variable(alpha, n):
-    return any(v > n for v, _ in alpha)
-
-
-def test_an_image_miss_builds_only_the_new_variable_rows(monkeypatch):
-    shapes = [(1, [2, 1, 1]), (2, [2, 2, 1]), (3, [2, 1, 1])]
-    for config in ("generic", "collinear", "rnc"):
-        for seed, (n, mults) in enumerate(shapes):
-            z = gen_random(n, len(mults), mults, config=config, seed=seed + 40)
-            for m in (n + 1, n + 2, n + 3):
-                for t in range(regularity_index(z) + 2):
-                    expected = [
-                        row
-                        for (_, alpha), _, row in hilbert_mod._labelled_rows(z, m, t)
-                        if _meets_a_new_variable(alpha, n)
-                    ]
-                    hilbert_mod._rank_at_degree.cache_clear()
-                    with monkeypatch.context() as mp:
-                        builds = _counting_row_builds(mp)
-                        calls = _recorded_eliminations(mp)
-                        hilbert_function(z, t, m)
-                    assert (builds, calls) == ([], [expected]), (z, m, t)
-    # the certificate gives the image table's new-variable entries, in order
-    for z in _support_pattern_schemes():
-        n = z.ambient_dim
-        for m in (n + 1, n + 2, n + 3):
-            for t in range(5):
-                for point, mult in z.components:
-                    support, g = point._integral[1], min(mult - 1, t)
-                    table = hilbert_mod._row_table(m + 1, support, g, t)
-                    expected = tuple(
-                        (columns, coefficients)
-                        for alpha, columns, coefficients in table
-                        if _meets_a_new_variable(alpha, n)
-                    )
-                    got = hilbert_mod._new_variable_table(n + 1, m + 1, support, g, t)
-                    assert got == expected, (z, m, t, support)
-    info = hilbert_mod._new_variable_table.cache_info()
-    assert info.maxsize == 2048 and info.currsize <= 2048
-    hilbert_mod._rank_at_degree.cache_clear()
-
-
-def test_old_column_map_increases_and_keeps_exponents():
-    for n, m, t in ((1, 2, 0), (1, 4, 3), (2, 3, 4), (2, 5, 2), (3, 6, 3)):
-        old = hilbert_mod._old_columns(n + 1, m + 1, t)
-        assert all(a < b for a, b in zip(old, old[1:]))
-        image = monomial_basis(m + 1, t).exponents
-        pad = (0,) * (m - n)
-        assert [image[c] for c in old] == [beta + pad for beta in monomial_basis(n + 1, t).exponents]
-
-
 def _euler_cases():
     """Corpus-range schemes in the dimensions n..n+3 and their truncations,
     then the support-pattern schemes in their own dimensions."""
@@ -841,7 +587,7 @@ def _pass_cases(step):
 
 def test_pass_matches_row_eliminations_and_the_oracle_on_the_corpus():
     for z, reg in _pass_cases(10):
-        walk = hilbert_mod._Pass(z)
+        walk = hilbert_mod._Pass(z, z.ambient_dim)
         for t in range(reg + 2):
             cm = conditions_matrix(z, t)
             assert walk.rank(t) == rank(cm.matrix), (z, t)
@@ -849,18 +595,32 @@ def test_pass_matches_row_eliminations_and_the_oracle_on_the_corpus():
                 assert walk.rank(t) == naive_hilbert(z, t), (z, t)
 
 
-def test_pass_prefix_counts_are_the_truncations():
-    # after degree t, the pivots of level >= k count H(t) of Z - k
-    for z, reg in _pass_cases(5):
-        walk = hilbert_mod._Pass(z)
+def test_image_values_match_row_eliminations_and_the_oracle_on_the_corpus():
+    for z, _ in _pass_cases(10):
         n = z.ambient_dim
-        for k in range(1, max(z.multiplicities) + 1):
-            w = truncate(z, k)
-            for t in range(reg + 2):
-                expected = 0 if isinstance(w, UnitIdeal) else _rank_of_int_rows(*_int_rows(w, n, t))
-                assert walk.rank(t, k) == expected, (z, k, t)
-                assert hilbert_function(z, t, drop=k) == hilbert_function(w, t) == expected
-                assert ideal_dim(z, t, drop=k) == ideal_dim(w, t)
+        for m in range(n + 1, n + 4):
+            image = embed(z, m)
+            for t in range(regularity_index(z, m) + 2):
+                rows, ncols = _int_rows(z, m, t)
+                assert hilbert_function(z, t, m) == _rank_of_int_rows(rows, ncols), (z, m, t)
+                if ncols <= 20:
+                    assert hilbert_function(z, t, m) == naive_hilbert(image, t), (z, m, t)
+
+
+def test_pass_prefix_counts_are_the_truncations():
+    # after degree t, the pivots of level >= k count H(t) of Z - k, in the
+    # scheme's own space and in its image in P^(n+1)
+    for z, reg in _pass_cases(5):
+        n = z.ambient_dim
+        for dim in (n, n + 1):
+            walk = hilbert_mod._Pass(z, dim)
+            for k in range(1, max(z.multiplicities) + 1):
+                w = truncate(z, k)
+                for t in range(reg + 2):
+                    rows = 0 if isinstance(w, UnitIdeal) else _rank_of_int_rows(*_int_rows(w, dim, t))
+                    assert walk.rank(t, k) == rows, (z, dim, k, t)
+                    assert hilbert_function(z, t, dim, drop=k) == hilbert_function(w, t, dim) == rows
+                    assert ideal_dim(z, t, dim, drop=k) == ideal_dim(w, t, dim)
 
 
 def test_a_second_chart_gives_the_same_table():
@@ -871,17 +631,21 @@ def test_a_second_chart_gives_the_same_table():
         raw = [(tuple(reversed(p.coords)), m) for p, m in z.components]
         w = make_scheme(z.ambient_dim, raw)
         moved += any(p.coords[-1] == 0 for p in z.points)
-        walks = hilbert_mod._Pass(z), hilbert_mod._Pass(w)
+        walks = hilbert_mod._Pass(z, z.ambient_dim), hilbert_mod._Pass(w, w.ambient_dim)
         for k in range(max(z.multiplicities)):
             for t in range(reg + 2):
                 assert walks[0].rank(t, k) == walks[1].rank(t, k), (z, k, t)
     assert moved > 0
 
 
+def _clear_hilbert_memos():
+    hilbert_mod._rank_at_degree.cache_clear()
+    hilbert_mod._pass.cache_clear()
+
+
 def test_source_values_build_and_eliminate_no_rows(monkeypatch):
     for z, reg in _pass_cases(10):
-        hilbert_mod._rank_at_degree.cache_clear()
-        hilbert_mod._source_pass.cache_clear()
+        _clear_hilbert_memos()
         with monkeypatch.context() as mp:
             calls = _recorded_eliminations(mp)
             builds = _counting_row_builds(mp)
@@ -889,6 +653,22 @@ def test_source_values_build_and_eliminate_no_rows(monkeypatch):
                 for t in range(reg + 2):
                     hilbert_function(z, t, drop=k)
         assert (calls, builds) == ([], [])
+
+
+def test_image_values_build_and_eliminate_no_rows(monkeypatch):
+    # H(t), the truncations and both restriction ranks of every image
+    for z, reg in _pass_cases(10):
+        n = z.ambient_dim
+        for m in range(n + 1, n + 4):
+            _clear_hilbert_memos()
+            with monkeypatch.context() as mp:
+                calls = _recorded_eliminations(mp)
+                builds = _counting_row_builds(mp)
+                for t in range(regularity_index(z, m) + 2):
+                    for k in range(max(z.multiplicities) + 1):
+                        hilbert_function(z, t, m, drop=k)
+                    hilbert_mod.restriction_ranks(z, m, t)
+            assert (calls, builds) == ([], []), (z, m)
 
 
 def test_negative_drop_and_image_drop_follow_truncate():
@@ -899,13 +679,15 @@ def test_negative_drop_and_image_drop_follow_truncate():
         assert hilbert_function(z, t, 4, drop=2) == 0
 
 
-def test_an_interrupted_walk_leaves_the_pass_as_it_was(monkeypatch):
+@pytest.mark.parametrize("dim", [2, 4])
+def test_an_interrupted_walk_leaves_the_pass_as_it_was(monkeypatch, dim):
     z = gen_random(2, 4, [3, 2, 2, 1], config="generic", seed=3)
-    expected = [hilbert_mod._Pass(z).rank(t, k) for k in range(3) for t in range(7)]
+    walk = hilbert_mod._Pass(z, dim)
+    expected = [walk.rank(t, k) for k in range(3) for t in range(7)]
+    expected_old = [walk.old_rank(t) for t in range(7)]
     for stop in (1, 5, 20):
-        hilbert_mod._rank_at_degree.cache_clear()
-        hilbert_mod._source_pass.cache_clear()
-        hilbert_function(z, 1)
+        _clear_hilbert_memos()
+        hilbert_function(z, 1, dim)
         calls, combine = [], exactlinalg_mod._combine
 
         def interrupted(row, prow, col):
@@ -917,8 +699,9 @@ def test_an_interrupted_walk_leaves_the_pass_as_it_was(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(exactlinalg_mod, "_combine", interrupted)
             with pytest.raises(KeyboardInterrupt):
-                hilbert_function(z, 6)
-        assert [hilbert_function(z, t, drop=k) for k in range(3) for t in range(7)] == expected
+                hilbert_function(z, 6, dim)
+        assert [hilbert_function(z, t, dim, drop=k) for k in range(3) for t in range(7)] == expected
+        assert [hilbert_mod.restriction_ranks(z, dim, t)[1] for t in range(7)] == expected_old
 
 
 def test_pass_memo_stays_bounded():
@@ -926,5 +709,35 @@ def test_pass_memo_stays_bounded():
         for t in range(reg + 2):
             hilbert_function(z, t)
             hilbert_function(z, t, drop=1)
-    info = hilbert_mod._source_pass.cache_info()
+            hilbert_function(z, t, z.ambient_dim + 2)
+    info = hilbert_mod._pass.cache_info()
     assert info.maxsize == 2 and info.currsize <= 2
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_a_miscounted_image_walk_fails_the_dimension_record(monkeypatch, shift):
+    # the image walk counts one standard monomial in the old variables too
+    # few, or too many, in degree 2; the dimension records from degree 2 on
+    # fail, and the membership records and the run are unaffected
+    z = gen_random(2, 3, [2, 2, 1], config="generic", seed=5)
+    real_walk = hilbert_mod._Pass._walk
+
+    def miscounted(self):
+        real_walk(self)
+        if self.dim > self.old and len(self.old_totals) == 3:
+            self.old_totals[-1] += shift
+
+    _clear_hilbert_memos()
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(hilbert_mod._Pass, "_walk", miscounted)
+            report = check_restriction_range(z, 4)
+    finally:
+        _clear_hilbert_memos()
+    reg = regularity_index(z)
+    assert len(report.records) == 2 * (reg + 2)
+    failed = [(r.t, r.note) for r in report.records if not r.passed]
+    note = "intersection dimension equals source ideal dimension"
+    assert failed == [(t, note) for t in range(2, reg + 2)]
+    assert not report.passed
+    assert check_restriction_range(z, 4).passed
