@@ -623,6 +623,64 @@ def test_pass_prefix_counts_are_the_truncations():
                     assert ideal_dim(z, t, dim, drop=k) == ideal_dim(w, t, dim)
 
 
+@pytest.mark.parametrize("offset", [1, 2, 3])
+def test_image_pass_is_the_pass_of_the_padded_scheme(offset):
+    # a padded point keeps its source point's nonzero coordinates, so the
+    # image's pass takes the same chart as the pass of embed(Z, m) and walks
+    # to the same table of every truncation
+    for z, reg in _pass_cases(10):
+        m = z.ambient_dim + offset
+        walk, padded = hilbert_mod._Pass(z, m), hilbert_mod._Pass(embed(z, m), m)
+        assert walk.coords == padded.coords and walk.size == padded.size, (z, m)
+        for k in range(max(z.multiplicities)):
+            for t in range(reg + 2):
+                assert walk.rank(t, k) == padded.rank(t, k), (z, m, k, t)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, 3])
+def test_old_variable_counts_are_the_source_values(offset):
+    # the standard monomials in X_1..X_n of the pass in P^(n + offset) count
+    # the source's H(t); in the source's own space they are all of them
+    for z, reg in _pass_cases(10):
+        walk = hilbert_mod._Pass(z, z.ambient_dim + offset)
+        for t in range(reg + 2):
+            old = walk.old_rank(t)
+            assert old == hilbert_function(z, t) <= walk.rank(t), (z, offset, t)
+            if offset == 0:
+                assert old == walk.rank(t), (z, t)
+
+
+def _graded_lex_index(monomial, num_vars):
+    return hilbert_mod._monomials(num_vars, sum(e for _, e in monomial))[monomial]
+
+
+@pytest.mark.parametrize("offset", [0, 2])
+def test_each_candidate_is_found_once_in_graded_lex_order(offset):
+    # every monomial of the next degree in X_1..X_dim whose divisors are all
+    # standard is a candidate, once, and the candidates come in graded-lex
+    # order, as do the standard monomials the walk keeps
+    for z, _ in _pass_cases(20):
+        dim = z.ambient_dim + offset
+        walk = hilbert_mod._Pass(z, dim)
+        degree = 0
+        while len(walk.pivots) < walk.size:
+            standard = set(walk.last)
+            candidates = [beta for beta, _, _ in walk._candidates()]
+            expected = [
+                beta
+                for beta in hilbert_mod._monomials(dim + 1, degree + 1)
+                if beta[0][0] > 0
+                and all(hilbert_mod._divide(beta, k) in standard for k in range(len(beta)))
+            ]
+            assert candidates == expected, (z, dim, degree)
+            walk._walk()
+            degree += 1
+            kept = list(walk.last)
+            assert kept == sorted(kept, key=lambda beta: _graded_lex_index(beta, dim + 1))
+            assert set(kept) <= set(candidates), (z, dim, degree)
+            assert len(kept) == walk.totals[-1] - walk.totals[-2], (z, dim, degree)
+
+
 def test_a_second_chart_gives_the_same_table():
     # reversed coordinates put some points off X_0 = 1, so the pass walks in
     # another chart; the Hilbert function of every truncation is unchanged
