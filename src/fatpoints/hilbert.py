@@ -152,7 +152,6 @@ def _pairs(first: int, num_vars: int, degree: int):
     yield ((num_vars - 1, degree),)
 
 
-@lru_cache(maxsize=None)
 def _monomials(num_vars: int, degree: int) -> dict[tuple[tuple[int, int], ...], int]:
     """Each degree-``degree`` monomial in ``num_vars`` variables to its graded-lex column."""
     return {beta: k for k, beta in enumerate(_pairs(0, num_vars, degree))}
@@ -347,13 +346,10 @@ class _Pass:
         return {key: v for key, v in out.items() if v}
 
 
-_pass = lru_cache(maxsize=2)(_Pass)
-
-
-@lru_cache(maxsize=None)
-def _rank_at_degree(scheme: FatPointScheme, dim: int, t: int) -> int:
-    """H(t) of the scheme's points in P^dim, read from the pass memo ``_pass``."""
-    return _pass(scheme, dim).rank(t)
+_pass = lru_cache(maxsize=2)(_Pass)  # the one memo of this module
+# perfbench/worker.py and perfbench/cli_boot.py (through tracer.rank_cache)
+# clear and count the memo under this name; rename it there and here together.
+_rank_at_degree = _pass
 
 
 def hilbert_function(
@@ -362,18 +358,18 @@ def hilbert_function(
     """H(t): independent conditions the scheme, or its image
     ``embed(scheme, target_dim)``, imposes on degree-t forms.
 
-    With ``drop``, the value is that of ``truncate(scheme, drop)``.  A
-    positive drop is read from the pass in P^dim, with no truncated scheme
-    built."""
+    With ``drop``, the value is that of ``truncate(scheme, drop)``.  Every
+    value is read from the one pass of the scheme in P^dim,
+    ``_pass(scheme, dim).rank(t, drop)``: the functionals of a truncation
+    are a prefix of its keys, so only a negative drop builds a truncated
+    scheme, through ``truncate``."""
     dim = _image_dim(scheme, target_dim)
     _cap_check(dim, t)
     if drop < 0:
         scheme, drop = truncate(scheme, drop), 0
     if isinstance(scheme, UnitIdeal):
         return 0
-    if drop:
-        return _pass(scheme, dim).rank(t, drop)
-    return _rank_at_degree(scheme, dim, t)
+    return _pass(scheme, dim).rank(t, drop)
 
 
 def ideal_dim(
@@ -388,8 +384,8 @@ def ideal_dim(
 
 def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[int, int]:
     """Degree-t ranks ``(stacked, restricted)`` for restricting the image
-    ``embed(scheme, target_dim)`` to the old variables, both from the
-    image's pass.
+    ``embed(scheme, target_dim)`` to the old variables, both from the one
+    image pass ``_pass(scheme, target_dim)``.
 
     ``stacked`` is the rank of the image's functionals with the source's
     appended; it equals the image's H(t) exactly when substituting zeros
@@ -402,7 +398,8 @@ def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[
     source's own pass is a separate walk, so comparing the two can fail.
     """
     _cap_check(_image_dim(scheme, target_dim), t)
-    return _rank_at_degree(scheme, target_dim, t), _pass(scheme, target_dim).old_rank(t)
+    walk = _pass(scheme, target_dim)
+    return walk.rank(t), walk.old_rank(t)
 
 
 def regularity_index(scheme: FatPointScheme, target_dim: int | None = None) -> int:

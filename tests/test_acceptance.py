@@ -195,9 +195,8 @@ def test_criterion_06_prop44_and_displayed_variant(corpus, announce):
 def test_criterion_07_restriction(corpus, announce):
     started = time.monotonic()
     # each dimension record compares the image pass's count of standard
-    # monomials in the old variables with the source pass's H(t); the memos
-    # are cleared so that every pass read here is walked here
-    hilbert_mod._rank_at_degree.cache_clear()
+    # monomials in the old variables with the source pass's H(t); the memo
+    # is cleared so that every pass read here is walked here
     hilbert_mod._pass.cache_clear()
     cases = 0
     for entry in corpus:

@@ -171,13 +171,11 @@ def test_row_tables_match_oracle_on_every_support_pattern():
     assert len(supports) == 7 + 15
 
 
-def test_the_hilbert_layer_keeps_three_caches():
-    caches = {
-        name: value.cache_info().maxsize
-        for name, value in vars(hilbert_mod).items()
-        if hasattr(value, "cache_info")
-    }
-    assert caches == {"_monomials": None, "_pass": 2, "_rank_at_degree": None}
+def test_the_hilbert_layer_keeps_one_cache():
+    cached = [value for value in vars(hilbert_mod).values() if hasattr(value, "cache_info")]
+    assert cached and all(value is hilbert_mod._pass for value in cached)
+    assert hilbert_mod._pass.cache_info().maxsize == 2
+    assert hilbert_mod._rank_at_degree is hilbert_mod._pass
 
 
 def test_conditions_matrix_nullspace_is_ideal():
@@ -375,7 +373,7 @@ def test_unit_ideal_regularity_rejected():
 def test_safety_cap_flags_broken_hilbert_values(monkeypatch):
     # a Hilbert function that never reaches the multiplicity must trip the
     # scan bound instead of looping
-    monkeypatch.setattr(hilbert_mod, "_rank_at_degree", lambda scheme, dim, t: 0)
+    monkeypatch.setattr(hilbert_mod._Pass, "rank", lambda self, t, drop=0: 0)
     with pytest.raises(InternalBoundViolation):
         regularity_index(_single(2, 2))
 
@@ -461,17 +459,25 @@ def test_equal_points_from_different_inputs_share_memo_entries():
 
 
 def test_round_tripped_and_truncated_schemes_hit_the_memo():
+    # each equal scheme is asked for right after its original, whose pass
+    # is then still in the memo of two
     z = gen_random(2, 3, [3, 2, 1], config="generic", seed=4)
     image = embed(z, 4)
     degrees = range(regularity_index(z) + 2)
-    family = [z, truncate(z, 1), truncate(z, 2), image, truncate(image, 1)]
-    values = [hilbert_function(w, t) for w in family for t in degrees]
-    hits, misses = _memo_counts()
     copy = scheme_from_json(scheme_to_json(z))
     image_copy = scheme_from_json(scheme_to_json(image))
-    again = [copy, truncate(copy, 1), truncate(copy, 2), embed(copy, 4), truncate(image_copy, 1)]
-    assert [hilbert_function(w, t) for w in again for t in degrees] == values
-    assert _memo_counts() == (hits + len(values), misses)
+    pairs = [
+        (z, copy),
+        (truncate(z, 1), truncate(copy, 1)),
+        (truncate(z, 2), truncate(copy, 2)),
+        (image, embed(copy, 4)),
+        (truncate(image, 1), truncate(image_copy, 1)),
+    ]
+    for original, equal in pairs:
+        values = [hilbert_function(original, t) for t in degrees]
+        hits, misses = _memo_counts()
+        assert [hilbert_function(equal, t) for t in degrees] == values, equal
+        assert _memo_counts() == (hits + len(values), misses), equal
 
 
 def test_own_dimension_as_target_hits_the_plain_memo_entry():
@@ -696,14 +702,9 @@ def test_a_second_chart_gives_the_same_table():
     assert moved > 0
 
 
-def _clear_hilbert_memos():
-    hilbert_mod._rank_at_degree.cache_clear()
-    hilbert_mod._pass.cache_clear()
-
-
 def test_source_values_build_and_eliminate_no_rows(monkeypatch):
     for z, reg in _pass_cases(10):
-        _clear_hilbert_memos()
+        hilbert_mod._pass.cache_clear()
         with monkeypatch.context() as mp:
             calls = _recorded_eliminations(mp)
             builds = _counting_row_builds(mp)
@@ -718,7 +719,7 @@ def test_image_values_build_and_eliminate_no_rows(monkeypatch):
     for z, reg in _pass_cases(10):
         n = z.ambient_dim
         for m in range(n + 1, n + 4):
-            _clear_hilbert_memos()
+            hilbert_mod._pass.cache_clear()
             with monkeypatch.context() as mp:
                 calls = _recorded_eliminations(mp)
                 builds = _counting_row_builds(mp)
@@ -744,7 +745,7 @@ def test_an_interrupted_walk_leaves_the_pass_as_it_was(monkeypatch, dim):
     expected = [walk.rank(t, k) for k in range(3) for t in range(7)]
     expected_old = [walk.old_rank(t) for t in range(7)]
     for stop in (1, 5, 20):
-        _clear_hilbert_memos()
+        hilbert_mod._pass.cache_clear()
         hilbert_function(z, 1, dim)
         calls, combine = [], exactlinalg_mod._combine
 
@@ -785,13 +786,13 @@ def test_a_miscounted_image_walk_fails_the_dimension_record(monkeypatch, shift):
         if self.dim > self.old and len(self.old_totals) == 3:
             self.old_totals[-1] += shift
 
-    _clear_hilbert_memos()
+    hilbert_mod._pass.cache_clear()
     try:
         with monkeypatch.context() as mp:
             mp.setattr(hilbert_mod._Pass, "_walk", miscounted)
             report = check_restriction_range(z, 4)
     finally:
-        _clear_hilbert_memos()
+        hilbert_mod._pass.cache_clear()
     reg = regularity_index(z)
     assert len(report.records) == 2 * (reg + 2)
     failed = [(r.t, r.note) for r in report.records if not r.passed]

@@ -189,6 +189,19 @@ def test_refusals_come_from_the_same_check_with_the_same_message(
     assert (entered[-1], str(refused.value)) == (raised_in, message)
 
 
+def test_one_clear_empties_the_bounded_memo(every_tenth_entry):
+    # the memo never holds more than two passes, and a clear under the name
+    # the benchmark worker uses before each op empties every Hilbert cache
+    caches = [value for value in vars(hilbert_mod).values() if hasattr(value, "cache_info")]
+    largest = 0
+    for entry in every_tenth_entry:
+        run_checks(entry.scheme, entry.target_dim, ("all",), prop44_diagnostic=True)
+        largest = max([largest] + [cache.cache_info().currsize for cache in caches])
+    assert caches and largest <= 2
+    hilbert_mod._rank_at_degree.cache_clear()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+
+
 def test_the_report_encoder_matches_json_dumps(every_tenth_entry):
     for entry in every_tenth_entry[::6]:
         for report in run_checks(entry.scheme, entry.target_dim, prop44_diagnostic=True):
