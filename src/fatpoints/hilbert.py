@@ -79,7 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit, _brief
 from .exactlinalg import Matrix, binomial, _insert
@@ -96,6 +96,7 @@ __all__ = [
     "hilbert_function",
     "regularity_index",
     "hilbert_table",
+    "hilbert_pass",
     "restriction_ranks",
 ]
 
@@ -200,24 +201,25 @@ def _labelled_rows(scheme: FatPointScheme, dim: int, t: int):
             yield (ci, alpha), lead ** (t - g), row
 
 
-def _cap_check(ambient_dim: int, t: int) -> None:
+def _cap_check(ambient_dim: int, t: int, cap: int | None = None) -> None:
     """Refuse a degree whose C(t + ambient_dim, ambient_dim) columns exceed
-    the cap.  The count is built over min(t, ambient_dim) factors and cut
-    short once it passes both the cap and 2^64, so a count over 64 bits is
-    named as a lower bound."""
+    the cap, ``COLUMN_CAP`` unless given.  The count is built over
+    min(t, ambient_dim) factors and cut short once it passes both the cap
+    and 2^64, so a count over 64 bits is named as a lower bound."""
     if t < 0:
         raise DegreeOutOfRange(f"degree must be nonnegative, got {_brief(t)}")
-    k, cut = min(t, ambient_dim), max(COLUMN_CAP, 2**64)
+    cap = COLUMN_CAP if cap is None else cap
+    k, cut = min(t, ambient_dim), max(cap, 2**64)
     cols = 1
     for i in range(1, k + 1):
         cols = cols * (t + ambient_dim - k + i) // i  # C(t + ambient_dim - k + i, i)
         if cols > cut:
             break
-    if cols > COLUMN_CAP:
+    if cols > cap:
         count = _brief(cols) if cols.bit_length() <= 64 else f"at least {_brief(cols)}"
         raise ResourceLimit(
             f"degree {_brief(t)} in P^{_brief(ambient_dim)} needs {count} monomial "
-            f"columns (cap {_brief(COLUMN_CAP)})"
+            f"columns (cap {_brief(cap)})"
         )
 
 
@@ -265,9 +267,12 @@ class _Pass:
     """Buchberger-Moller over the functionals of one scheme's points in P^dim,
     degree by degree; see the module docstring.  ``rank(t, drop)`` is H(t)
     of Z - drop, and ``old_rank(t)`` counts the standard monomials of degree
-    <= t in the scheme's own variables X_1, ..., X_n alone."""
+    <= t in the scheme's own variables X_1, ..., X_n alone.  The package
+    reads ``h``, ``ideal_dim``, ``reg`` and ``restriction_ranks``: each H(t)
+    and the regularity index are stored at their first read, where each
+    degree is checked against ``cap``."""
 
-    def __init__(self, scheme: FatPointScheme, dim: int):
+    def __init__(self, scheme: FatPointScheme, dim: int, cap: int | None = None):
         points = [point._integral[1:] for point, _ in scheme.components]
         k = 0  # the least k at which L = sum_j k^j X_j vanishes at no point
         while not all(values := [sum(v * k**j for j, v in zip(*p)) for p in points]):
@@ -276,8 +281,8 @@ class _Pass:
         self.coords = [
             {j: v * (scale // value) for j, v in zip(*p) if j} for p, value in zip(points, values)
         ]
-        self.dim, self.old = dim, scheme.ambient_dim
-        self.size = multiplicity(scheme, dim)
+        self.scheme, self.dim, self.old = scheme, dim, scheme.ambient_dim
+        self.cap = COLUMN_CAP if cap is None else cap
         # a key (-level, component, alpha) sorts by decreasing level m_i - 1 - |alpha|
         one = {(1 - m, i, ()): 1 for i, (_, m) in enumerate(scheme.components)}
         top = min(one)
@@ -286,6 +291,41 @@ class _Pass:
         # up to each degree: the pivots, and the standard monomials in X_1..X_n
         self.totals, self.old_totals = [1], [1]
         self.last = {(): one}  # the last degree's standard monomials and their vectors
+        self.values: dict[tuple[int, int], int] = {}  # (t, drop) -> H(t) of Z - drop
+        self.reg_value: int | None = None
+
+    @cached_property
+    def size(self) -> int:  # e, computed late: it can be huge where the cap refuses
+        return multiplicity(self.scheme, self.dim)
+
+    def h(self, t: int, drop: int = 0) -> int:
+        """H(t) of Z - drop; its first read checks the cap and stores it."""
+        value = self.values.get((t, drop))
+        if value is None:
+            _cap_check(self.dim, t, self.cap)
+            value = self.values[t, drop] = self.rank(t, drop)
+        return value
+
+    def ideal_dim(self, t: int, drop: int = 0) -> int:
+        return binomial(t + self.dim, self.dim) - self.h(t, drop)
+
+    def reg(self) -> int:
+        """The least t with H(t) = e; see ``regularity_index``."""
+        if self.reg_value is None:
+            t = _scan_start(self.dim, self.size, self.cap)
+            bound = self.scheme.total_multiplicity() - 1
+            while self.h(t) != self.size:
+                if t >= bound:
+                    raise InternalBoundViolation(
+                        f"H(t) did not reach {self.size} for any t <= {bound}"
+                    )
+                t += 1
+            self.reg_value = t
+        return self.reg_value
+
+    def restriction_ranks(self, t: int) -> tuple[int, int]:
+        """``(H(t), old_rank(t))``; see the module function."""
+        return self.h(t), self.old_rank(t)
 
     def rank(self, t: int, drop: int = 0) -> int:
         while len(self.levels) <= t and len(self.pivots) < self.size:
@@ -352,6 +392,23 @@ _pass = lru_cache(maxsize=2)(_Pass)  # the one memo of this module
 _rank_at_degree = _pass
 
 
+def _scan_start(dim: int, e: int, cap: int) -> int:
+    """The least t at which C(t + dim, dim) reaches e or exceeds the cap:
+    below it H(t) <= C(t + dim, dim) < e."""
+    t = 0
+    while binomial(t + dim, dim) < min(e, cap + 1):
+        t += 1
+    return t
+
+
+def hilbert_pass(scheme: FatPointScheme, target_dim: int | None = None) -> _Pass:
+    """The memoized pass of the scheme, or of its image
+    ``embed(scheme, target_dim)``, whose ``h``, ``ideal_dim``, ``reg`` and
+    ``restriction_ranks`` answer the functions of those names.  The memo is
+    keyed by the cap too, so no value outlives a change of ``COLUMN_CAP``."""
+    return _pass(scheme, _image_dim(scheme, target_dim), COLUMN_CAP)
+
+
 def hilbert_function(
     scheme: TruncatedScheme, t: int, target_dim: int | None = None, drop: int = 0
 ) -> int:
@@ -359,17 +416,16 @@ def hilbert_function(
     ``embed(scheme, target_dim)``, imposes on degree-t forms.
 
     With ``drop``, the value is that of ``truncate(scheme, drop)``.  Every
-    value is read from the one pass of the scheme in P^dim,
-    ``_pass(scheme, dim).rank(t, drop)``: the functionals of a truncation
-    are a prefix of its keys, so only a negative drop builds a truncated
-    scheme, through ``truncate``."""
-    dim = _image_dim(scheme, target_dim)
-    _cap_check(dim, t)
+    value is a read of the memoized pass, ``hilbert_pass(scheme,
+    target_dim).h(t, drop)``: the functionals of a truncation are a prefix
+    of its keys, so only a negative drop builds a truncated scheme, through
+    ``truncate``."""
     if drop < 0:
         scheme, drop = truncate(scheme, drop), 0
     if isinstance(scheme, UnitIdeal):
+        _cap_check(_image_dim(scheme, target_dim), t)
         return 0
-    return _pass(scheme, dim).rank(t, drop)
+    return hilbert_pass(scheme, target_dim).h(t, drop)
 
 
 def ideal_dim(
@@ -384,8 +440,8 @@ def ideal_dim(
 
 def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[int, int]:
     """Degree-t ranks ``(stacked, restricted)`` for restricting the image
-    ``embed(scheme, target_dim)`` to the old variables, both from the one
-    image pass ``_pass(scheme, target_dim)``.
+    ``embed(scheme, target_dim)`` to the old variables, both read from the
+    image's memoized pass.
 
     ``stacked`` is the rank of the image's functionals with the source's
     appended; it equals the image's H(t) exactly when substituting zeros
@@ -397,18 +453,17 @@ def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[
     functionals on the forms in the old variables, the source's H(t); the
     source's own pass is a separate walk, so comparing the two can fail.
     """
-    _cap_check(_image_dim(scheme, target_dim), t)
-    walk = _pass(scheme, target_dim)
-    return walk.rank(t), walk.old_rank(t)
+    return hilbert_pass(scheme, target_dim).restriction_ranks(t)
 
 
 def regularity_index(scheme: FatPointScheme, target_dim: int | None = None) -> int:
     """Least t with H(t) equal to the multiplicity, by ascending scan, for
-    the scheme or its image ``embed(scheme, target_dim)``.
+    the scheme or its image ``embed(scheme, target_dim)``; the scan runs
+    once per memoized pass, which stores its result.
 
     Since H(t) <= C(t+n, n), the scan starts at the least t where C(t+n, n)
     reaches the multiplicity or exceeds the column cap; such a first degree
-    over the cap is refused before any elimination.  The scan is capped at
+    over the cap is refused before a pass is built.  The scan is capped at
     sum(m_i) - 1, the classical worst case attained by collinear points;
     exceeding it means the Hilbert computation itself is broken, so that
     raises InternalBoundViolation rather than looping.
@@ -416,17 +471,8 @@ def regularity_index(scheme: FatPointScheme, target_dim: int | None = None) -> i
     if isinstance(scheme, UnitIdeal):
         raise ValueError("the regularity index needs a nonempty scheme")
     dim = _image_dim(scheme, target_dim)
-    target = multiplicity(scheme, dim)
-    low = 0
-    while binomial(low + dim, dim) < min(target, COLUMN_CAP + 1):
-        low += 1
-    bound = scheme.total_multiplicity() - 1
-    for t in range(low, bound + 1):
-        if hilbert_function(scheme, t, dim) == target:
-            return t
-    raise InternalBoundViolation(
-        f"H(t) did not reach {target} for any t <= {bound}"
-    )
+    _cap_check(dim, _scan_start(dim, multiplicity(scheme, dim), COLUMN_CAP))
+    return hilbert_pass(scheme, target_dim).reg()
 
 
 def hilbert_table(scheme: FatPointScheme) -> HilbertTable:

@@ -6,20 +6,19 @@ source side, for the scheme and every truncation, is read from the
 scheme's Buchberger-Moller pass; the embedded side from the image's own
 pass over the functionals of the padded points, never from the identity
 being tested.  The checks never pad a point: they ask the Hilbert layer
-about the image by passing ``target_dim``, and it walks the source points
-in the image's variables, so a value over the column cap is refused where
-it is evaluated.  The checks
-of one ``run_checks`` call share their value tables, ``_Side``, so each
-value is asked for once, where the first check to need it asks.  Reports
-carry the integer values of both sides, so a failing run is a
-self-contained counterexample certificate.
+for the image's pass with ``hilbert_pass(scheme, target_dim)``, which walks
+the source points in the image's variables.  Every value, the regularity
+index included, is stored on its pass at its first read, where a value
+over the column cap is refused, so the checks of one ``run_checks`` call
+compute each value once, at the first check that needs it.  Reports carry
+the integer values of both sides, so a failing run is a self-contained
+counterexample certificate.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from _thread import get_ident
 from dataclasses import dataclass
 
 from .errors import (
@@ -31,7 +30,7 @@ from .errors import (
     TooFewPoints,
 )
 from .exactlinalg import binomial
-from .hilbert import hilbert_function, regularity_index, restriction_ranks
+from .hilbert import hilbert_pass
 from .scheme import FatPointScheme, multiplicity, scheme_fingerprint
 
 __all__ = [
@@ -91,59 +90,19 @@ def _report(check, scheme, target_dim, records, note="") -> VerificationReport:
     )
 
 
-class _Side:
-    """Hilbert values of the scheme, or with ``target_dim`` of its image,
-    each asked of the Hilbert layer on its first read and kept after."""
-
-    def __init__(self, scheme: FatPointScheme, target_dim: int | None = None):
-        self.scheme = scheme
-        self.target_dim = target_dim
-        self.dim = scheme.ambient_dim if target_dim is None else target_dim
-        self._reg = None
-        self._h = {}
-
-    def reg(self) -> int:
-        if self._reg is None:
-            self._reg = regularity_index(self.scheme, self.target_dim)
-        return self._reg
-
-    def h(self, t: int, drop: int = 0) -> int:
-        """H(t), of the truncation by ``drop`` when it is positive."""
-        key = (t, drop)
-        if key not in self._h:
-            self._h[key] = hilbert_function(self.scheme, t, self.target_dim, drop)
-        return self._h[key]
-
-    def ideal_dim(self, t: int, drop: int = 0) -> int:
-        return binomial(t + self.dim, self.dim) - self.h(t, drop)
-
-
-# the (source, image) tables of the run_checks call each thread is in,
-# removed when the call returns
-_running: dict[int, tuple[_Side, _Side]] = {}
-
-
-def _sides(
-    scheme: FatPointScheme, target_dim: int | None = None, larger: bool = True
-) -> tuple[_Side, _Side]:
-    """The (source, image) tables of the run_checks call in progress on this
-    scheme object and target, or a new pair for a check called on its own.
-    A target below the ambient dimension, or equal to it if ``larger``, is
-    refused; without a target only the source table is meant."""
-    if target_dim is not None:
-        n = scheme.ambient_dim
-        if larger and target_dim <= n:
-            raise TargetTooSmall(target_dim, n, "must exceed")
-        if target_dim < n:
-            raise TargetTooSmall(target_dim, n)
-    sides = _running.get(get_ident())
-    if (
-        sides is None
-        or sides[0].scheme is not scheme
-        or target_dim not in (None, sides[1].target_dim)
-    ):
-        sides = _Side(scheme), _Side(scheme, target_dim)
-    return sides
+def _sides(scheme: FatPointScheme, target_dim: int, larger: bool = True) -> tuple:
+    """The memoized passes of the scheme and of its image
+    ``embed(scheme, target_dim)``.  A target that is not an int, or is below
+    the ambient dimension, or equal to it if ``larger``, is refused before
+    either pass is built."""
+    if not isinstance(target_dim, int) or isinstance(target_dim, bool):
+        raise TypeError(f"target dimension must be an int, got {type(target_dim).__name__}")
+    n = scheme.ambient_dim
+    if larger and target_dim <= n:
+        raise TargetTooSmall(target_dim, n, "must exceed")
+    if target_dim < n:
+        raise TargetTooSmall(target_dim, n)
+    return hilbert_pass(scheme), hilbert_pass(scheme, target_dim)
 
 
 def check_reg_invariance(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
@@ -188,7 +147,7 @@ def check_stable_range(scheme: FatPointScheme, target_dim: int) -> VerificationR
     return _report("stable_range", scheme, target_dim, records)
 
 
-def _truncation_sum(source: _Side, target_dim: int, t: int, shift: int = 0) -> int:
+def _truncation_sum(source, target_dim: int, t: int, shift: int = 0) -> int:
     """dim I_Z(t) + sum_{i<t} C(m-n-1+shift+t-i, t-i) * dim I_trunc(t-i)(i): with
     shift 0, the embedded ideal dimension the transfer formula predicts."""
     n, m = source.dim, target_dim
@@ -197,13 +156,6 @@ def _truncation_sum(source: _Side, target_dim: int, t: int, shift: int = 0) -> i
         drop = t - i
         total += binomial(m - n - 1 + shift + drop, drop) * source.ideal_dim(i, drop)
     return total
-
-
-def _transfer_rhs(source: _Side, target_dim: int, t: int) -> int:
-    reg = source.reg()
-    if t < 0 or t >= reg:
-        raise DegreeOutOfRange(f"transfer formula needs 0 <= t < reg = {reg}, got {t}")
-    return binomial(t + target_dim, target_dim) - _truncation_sum(source, target_dim, t)
 
 
 def transfer_rhs(scheme: FatPointScheme, target_dim: int, t: int) -> int:
@@ -216,7 +168,11 @@ def transfer_rhs(scheme: FatPointScheme, target_dim: int, t: int) -> int:
     multiplicities lowered by k (zero for the unit ideal).  Defined for
     0 <= t < reg only.
     """
-    return _transfer_rhs(_sides(scheme, target_dim)[0], target_dim, t)
+    source = _sides(scheme, target_dim)[0]
+    reg = source.reg()
+    if t < 0 or t >= reg:
+        raise DegreeOutOfRange(f"transfer formula needs 0 <= t < reg = {reg}, got {t}")
+    return binomial(t + target_dim, target_dim) - _truncation_sum(source, target_dim, t)
 
 
 def check_transfer(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
@@ -225,7 +181,7 @@ def check_transfer(scheme: FatPointScheme, target_dim: int) -> VerificationRepor
     records = []
     for t in range(source.reg()):
         lhs = image.h(t)
-        rhs = _transfer_rhs(source, target_dim, t)
+        rhs = transfer_rhs(scheme, target_dim, t)
         records.append(CheckRecord(t, lhs, rhs, lhs == rhs, "embedded H vs transfer formula"))
     note = "" if records else "no degrees below the regularity index"
     return _report("transfer", scheme, target_dim, records, note)
@@ -300,7 +256,7 @@ def check_prop44_displayed(scheme: FatPointScheme, target_dim: int) -> Verificat
     )
 
 
-def _restriction_records(source: _Side, image: _Side, t: int) -> list[CheckRecord]:
+def _restriction_records(source, image, t: int) -> list[CheckRecord]:
     """Degree-t records for substituting zeros for the new variables.
 
     (i) Membership compares two subspaces of the image ideal I_t: lhs is
@@ -315,7 +271,7 @@ def _restriction_records(source: _Side, image: _Side, t: int) -> list[CheckRecor
     """
     n, m = source.dim, image.dim
     image_dim = image.ideal_dim(t)
-    stacked, restricted = restriction_ranks(source.scheme, m, t)
+    stacked, restricted = image.restriction_ranks(t)
     kept = binomial(t + m, m) - stacked
     inter_dim = binomial(t + n, n) - restricted
     source_dim = source.ideal_dim(t)
@@ -363,7 +319,7 @@ def check_lemma23(scheme: FatPointScheme) -> VerificationReport:
             "lemma23", scheme, None, [], note="not applicable: scheme has a single point"
         )
     m1, m2 = sorted(scheme.multiplicities, reverse=True)[:2]
-    reg = _sides(scheme)[0].reg()
+    reg = hilbert_pass(scheme).reg()
     rec = CheckRecord(
         t=None,
         lhs=reg,
@@ -493,16 +449,9 @@ def run_checks(
         "rnc": [lambda scheme, target_dim: _rnc_report(scheme, target_dim, explicit)],
     }
     reports = []
-    thread = get_ident()
-    _running[thread] = _Side(scheme), _Side(scheme, target_dim)
-    try:
-        for name in CHECK_NAMES:
-            if name in requested:
-                reports.extend(check(scheme, target_dim) for check in table[name])
-    finally:
-        # a nested call has already removed the entry; the checks left
-        # after it read their own tables
-        _running.pop(thread, None)
+    for name in CHECK_NAMES:
+        if name in requested:
+            reports.extend(check(scheme, target_dim) for check in table[name])
     return reports
 
 

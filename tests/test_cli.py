@@ -290,9 +290,13 @@ def _assert_resource_limit(capsys):
 
 def test_oversized_work_exits_three_at_once(tmp_path, capsys):
     # reg's first possible degree is over the cap for a 10^9-fold point, and
-    # the embedded rows of P^500 are built without recursing per variable
+    # the embedded rows of P^500 are built without recursing per variable;
+    # the image multiplicity of a 10^100-fold point in P^(10^50) has more
+    # factors than math.comb takes, and no refused check computes it
     huge = tmp_path / "huge.json"
     huge.write_text(scheme_to_json(make_scheme(1, [((1, 0), 10**9)])))
+    huger = tmp_path / "huger.json"
+    huger.write_text(scheme_to_json(make_scheme(1, [((1, 0), 10**100)])))
     two = tmp_path / "two.json"
     two.write_text(
         '{"ambient_dim": 2, "points": [{"coords": ["1","0","0"], "multiplicity": 2},'
@@ -301,6 +305,7 @@ def test_oversized_work_exits_three_at_once(tmp_path, capsys):
     for argv in (
         ["reg", "--scheme", str(huge)],
         ["verify", "--scheme", str(two), "--target-dim", "500"],
+        ["verify", "--scheme", str(huger), "--target-dim", str(10**50)],
     ):
         assert main(argv) == 3, argv
         _assert_resource_limit(capsys)

@@ -372,8 +372,9 @@ def test_unit_ideal_regularity_rejected():
 
 def test_safety_cap_flags_broken_hilbert_values(monkeypatch):
     # a Hilbert function that never reaches the multiplicity must trip the
-    # scan bound instead of looping
+    # scan bound instead of looping; a cold memo, so no stored value hides it
     monkeypatch.setattr(hilbert_mod._Pass, "rank", lambda self, t, drop=0: 0)
+    hilbert_mod._pass.cache_clear()
     with pytest.raises(InternalBoundViolation):
         regularity_index(_single(2, 2))
 

@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,27 @@ def test_verify_imports_no_private_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# every public check that compares the scheme with an image, with the
+# arguments after the target; the scheme is on the conic, so check_rnc
+# reaches its target too
+_TARGETED_CHECKS = {
+    name: () if name != "check_restriction" else (0,)
+    for name in verify_mod.__all__
+    if name.startswith("check_")
+    and "target_dim" in inspect.signature(getattr(verify_mod, name)).parameters
+}
+
+
+@pytest.mark.parametrize("target_dim", [None, 3.0, True])
+@pytest.mark.parametrize("name", sorted(_TARGETED_CHECKS))
+def test_a_target_that_is_not_an_int_is_refused_before_any_pass(name, target_dim):
+    z = make_scheme(2, [((1, 0, 0), 2), ((0, 0, 1), 1)])
+    misses = hilbert_mod._pass.cache_info().misses
+    with pytest.raises(TypeError, match="^target dimension must be an int, got "):
+        getattr(verify_mod, name)(z, target_dim, *_TARGETED_CHECKS[name])
+    assert hilbert_mod._pass.cache_info().misses == misses
 
 
 class TestLemma23:

@@ -1,10 +1,11 @@
-"""The value tables of ``run_checks``: each Hilbert value is asked for once
-per call, in the order the checks ask for it when run alone, and every
-refusal comes where it came before the tables.
+"""The values of ``run_checks``: each Hilbert value is computed once per
+call, in the order the checks ask for it when run alone, and every refusal
+comes where it came when each check asked the Hilbert layer again for
+every value.
 
-The spies record each value ``verify`` asks the Hilbert layer for through
-the names it binds, as ``("reg", target)`` or ``("h", target, t, drop)``;
-a target of None is the scheme's own dimension.
+The spies record the first read of each value stored on a pass, as
+``("reg", dim)`` or ``("h", dim, t, drop)``, with dim the pass's ambient
+dimension: the scheme's own or the image's.
 """
 
 import json
@@ -17,6 +18,8 @@ import pytest
 import fatpoints.hilbert as hilbert_mod
 import fatpoints.verify as verify_mod
 from fatpoints.errors import ResourceLimit
+from fatpoints.hilbert import hilbert_function, regularity_index
+from fatpoints.scheme import make_scheme
 from fatpoints.verify import (
     check_cor46,
     check_lemma23,
@@ -44,22 +47,20 @@ def every_tenth_entry():
 @pytest.fixture
 def asked(monkeypatch):
     requests = []
-    real_reg = verify_mod.regularity_index
+    real_reg, real_h = hilbert_mod._Pass.reg, hilbert_mod._Pass.h
 
-    def regularity_index(scheme, target_dim=None):
-        requests.append(("reg", target_dim))
-        return real_reg(scheme, target_dim)
+    def reg(self):
+        if self.reg_value is None:
+            requests.append(("reg", self.dim))
+        return real_reg(self)
 
-    monkeypatch.setattr(verify_mod, "regularity_index", regularity_index)
-    # a value may be asked for by either name, wherever verify binds it
-    for name in ("hilbert_function", "ideal_dim"):
-        if hasattr(verify_mod, name):
+    def h(self, t, drop=0):
+        if (t, drop) not in self.values:
+            requests.append(("h", self.dim, t, drop))
+        return real_h(self, t, drop)
 
-            def value(scheme, t, target_dim=None, drop=0, real=getattr(verify_mod, name)):
-                requests.append(("h", target_dim, t, drop))
-                return real(scheme, t, target_dim, drop)
-
-            monkeypatch.setattr(verify_mod, name, value)
+    monkeypatch.setattr(hilbert_mod._Pass, "reg", reg)
+    monkeypatch.setattr(hilbert_mod._Pass, "h", h)
     return requests
 
 
@@ -71,7 +72,7 @@ def test_run_checks_asks_for_each_value_once(every_tenth_entry, asked):
         repeated = sorted((key for key, count in Counter(asked).items() if count > 1), key=str)
         assert repeated == [], entry
         regs = {key for key in asked if key[0] == "reg"}
-        assert regs <= {("reg", None), ("reg", entry.target_dim)}
+        assert regs <= {("reg", entry.scheme.ambient_dim), ("reg", entry.target_dim)}
 
 
 def _alone(entry):
@@ -189,6 +190,38 @@ def test_refusals_come_from_the_same_check_with_the_same_message(
     assert (entered[-1], str(refused.value)) == (raised_in, message)
 
 
+def test_stored_values_do_not_outlive_a_cap_change(monkeypatch):
+    # three collinear double points of P^2: e = 9, reg = 5, and the scan
+    # starts at degree 3, so under a cap of 20 the scan itself reaches the
+    # first degree over the cap, 5
+    z = make_scheme(2, [((1, 0, 0), 2), ((1, 1, 0), 2), ((1, 2, 0), 2)])
+    calls = [
+        lambda: hilbert_function(z, 5),
+        lambda: regularity_index(z),
+        lambda: [report_to_json(r) for r in run_checks(z, 3)],
+    ]
+
+    def refusals(clear):
+        messages = []
+        for call in calls:
+            if clear:
+                hilbert_mod._rank_at_degree.cache_clear()
+            with pytest.raises(ResourceLimit) as refused:
+                call()
+            messages.append(str(refused.value))
+        return messages
+
+    default = hilbert_mod.COLUMN_CAP
+    answers = [call() for call in calls]
+    assert answers[:2] == [9, 5]
+    monkeypatch.setattr(hilbert_mod, "COLUMN_CAP", 20)
+    warm = refusals(clear=False)
+    assert warm == refusals(clear=True)
+    assert set(warm) == {"degree 5 in P^2 needs 21 monomial columns (cap 20)"}
+    monkeypatch.setattr(hilbert_mod, "COLUMN_CAP", default)
+    assert [call() for call in calls] == answers
+
+
 def test_one_clear_empties_the_bounded_memo(every_tenth_entry):
     # the memo never holds more than two passes, and a clear under the name
     # the benchmark worker uses before each op empties every Hilbert cache
@@ -211,9 +244,9 @@ def test_the_report_encoder_matches_json_dumps(every_tenth_entry):
 
 
 def test_threads_share_no_tables(every_tenth_entry):
-    # each thread runs its own schemes (the Hilbert layer's pass memo is not
-    # meant for one scheme walked by two threads at once); a table seen by
-    # another thread's call, or left behind, breaks the equalities below
+    # each thread runs its own schemes (a pass of the Hilbert layer's memo
+    # is not meant to be walked by two threads at once); a value read from
+    # another thread's scheme breaks the equalities below
     entries = every_tenth_entry[:24]
     expected = [
         [report_to_json(r) for r in run_checks(e.scheme, e.target_dim, prop44_diagnostic=True)]
@@ -240,7 +273,6 @@ def test_threads_share_no_tables(every_tenth_entry):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert [got.get(i) for i in range(len(entries))] == expected
-    assert verify_mod._running == {}
 
 
 def test_a_nested_call_leaves_the_outer_reports_unchanged(every_tenth_entry, monkeypatch):
@@ -254,4 +286,3 @@ def test_a_nested_call_leaves_the_outer_reports_unchanged(every_tenth_entry, mon
 
     monkeypatch.setattr(verify_mod, "check_transfer", nesting)
     assert [report_to_json(r) for r in run_checks(outer.scheme, outer.target_dim)] == expected
-    assert verify_mod._running == {}
