@@ -48,8 +48,8 @@ variables X_1, ..., X_n are the source's, so restriction, setting the new
 variables to zero, maps the image's ideal into the source's.  The vector of
 x^a y^b, with x the old variables and y the new, is supported on the keys
 whose alpha has new-variable part b, so the standard monomials in x alone
-are the source's, in the same order, and their count up to degree t is the
-source's H(t) from the image's own walk.
+are the source's, in the same order, and their count up to degree t, the
+pass's ``old_rank(t)``, is the source's H(t) from the image's own walk.
 
 ``conditions_matrix`` builds the conditions matrix itself.  It has one
 column per degree-t monomial and one row per pair (point, multi-index alpha
@@ -97,7 +97,6 @@ __all__ = [
     "regularity_index",
     "hilbert_table",
     "hilbert_pass",
-    "restriction_ranks",
 ]
 
 # Degrees whose monomial count exceeds this cap are refused with
@@ -139,23 +138,14 @@ class HilbertTable:
     multiplicity: int
 
 
-def _pairs(first: int, num_vars: int, degree: int):
-    """Degree-``degree`` monomials in the variables first, ..., num_vars - 1,
-    in graded-lex order; every call yields, so work follows the output."""
-    if degree == 0:
-        yield ()
-        return
-    for j in range(first, num_vars - 1):
-        for e in range(degree, 0, -1):
-            head = ((j, e),)  # one pair object, shared by every monomial it starts
-            for rest in _pairs(j + 1, num_vars, degree - e):
-                yield head + rest
-    yield ((num_vars - 1, degree),)
-
-
 def _monomials(num_vars: int, degree: int) -> dict[tuple[tuple[int, int], ...], int]:
-    """Each degree-``degree`` monomial in ``num_vars`` variables to its graded-lex column."""
-    return {beta: k for k, beta in enumerate(_pairs(0, num_vars, degree))}
+    """Each degree-``degree`` monomial in ``num_vars`` variables to its
+    graded-lex column: each is g * X_j, once, with j at least the last
+    variable of g, the step the pass takes to its candidates."""
+    level = [()]
+    for _ in range(degree):
+        level = [_times(g, j) for g in level for j in range(g[-1][0] if g else 0, num_vars)]
+    return {beta: k for k, beta in enumerate(level)}
 
 
 def _exponent_vector(monomial: tuple, num_vars: int) -> tuple[int, ...]:
@@ -265,12 +255,12 @@ def _divide(monomial: tuple, k: int) -> tuple:
 
 class _Pass:
     """Buchberger-Moller over the functionals of one scheme's points in P^dim,
-    degree by degree; see the module docstring.  ``rank(t, drop)`` is H(t)
-    of Z - drop, and ``old_rank(t)`` counts the standard monomials of degree
-    <= t in the scheme's own variables X_1, ..., X_n alone.  The package
-    reads ``h``, ``ideal_dim``, ``reg`` and ``restriction_ranks``: each H(t)
-    and the regularity index are stored at their first read, where each
-    degree is checked against ``cap``."""
+    degree by degree; see the module docstring.  Its reads are ``h(t, drop)``,
+    H(t) of Z - drop, ``ideal_dim``, ``reg`` and ``old_rank(t)``, the number
+    of standard monomials of degree <= t in the scheme's own variables
+    X_1, ..., X_n alone.  Each reads through ``h``, which checks a degree
+    against ``cap`` at its first read, walks to it and stores the value; the
+    regularity index is stored too."""
 
     def __init__(self, scheme: FatPointScheme, dim: int, cap: int | None = None):
         points = [point._integral[1:] for point, _ in scheme.components]
@@ -299,11 +289,18 @@ class _Pass:
         return multiplicity(self.scheme, self.dim)
 
     def h(self, t: int, drop: int = 0) -> int:
-        """H(t) of Z - drop; its first read checks the cap and stores it."""
+        """H(t) of Z - drop; its first read checks the cap, walks to degree t
+        and stores it."""
         value = self.values.get((t, drop))
         if value is None:
             _cap_check(self.dim, t, self.cap)
-            value = self.values[t, drop] = self.rank(t, drop)
+            while len(self.levels) <= t and len(self.pivots) < self.size:
+                self._walk()
+            if drop:
+                value = sum(level >= drop for levels in self.levels[: t + 1] for level in levels)
+            else:
+                value = self.totals[min(t, len(self.totals) - 1)]
+            self.values[t, drop] = value
         return value
 
     def ideal_dim(self, t: int, drop: int = 0) -> int:
@@ -323,19 +320,8 @@ class _Pass:
             self.reg_value = t
         return self.reg_value
 
-    def restriction_ranks(self, t: int) -> tuple[int, int]:
-        """``(H(t), old_rank(t))``; see the module function."""
-        return self.h(t), self.old_rank(t)
-
-    def rank(self, t: int, drop: int = 0) -> int:
-        while len(self.levels) <= t and len(self.pivots) < self.size:
-            self._walk()
-        if drop:
-            return sum(level >= drop for levels in self.levels[: t + 1] for level in levels)
-        return self.totals[min(t, len(self.totals) - 1)]
-
     def old_rank(self, t: int) -> int:
-        self.rank(t)
+        self.h(t)
         return self.old_totals[min(t, len(self.old_totals) - 1)]
 
     def _candidates(self):
@@ -403,8 +389,9 @@ def _scan_start(dim: int, e: int, cap: int) -> int:
 
 def hilbert_pass(scheme: FatPointScheme, target_dim: int | None = None) -> _Pass:
     """The memoized pass of the scheme, or of its image
-    ``embed(scheme, target_dim)``, whose ``h``, ``ideal_dim``, ``reg`` and
-    ``restriction_ranks`` answer the functions of those names.  The memo is
+    ``embed(scheme, target_dim)``.  Its ``h``, ``ideal_dim`` and ``reg``
+    answer the functions of those names, and ``old_rank`` counts the image's
+    standard monomials in the source's variables.  The memo is
     keyed by the cap too, so no value outlives a change of ``COLUMN_CAP``."""
     return _pass(scheme, _image_dim(scheme, target_dim), COLUMN_CAP)
 
@@ -436,24 +423,6 @@ def ideal_dim(
     ``hilbert_function``."""
     dim = _image_dim(scheme, target_dim)
     return binomial(t + dim, dim) - hilbert_function(scheme, t, target_dim, drop)
-
-
-def restriction_ranks(scheme: FatPointScheme, target_dim: int, t: int) -> tuple[int, int]:
-    """Degree-t ranks ``(stacked, restricted)`` for restricting the image
-    ``embed(scheme, target_dim)`` to the old variables, both read from the
-    image's memoized pass.
-
-    ``stacked`` is the rank of the image's functionals with the source's
-    appended; it equals the image's H(t) exactly when substituting zeros
-    for the new variables maps the image ideal into the source ideal.
-    Every source functional is an image functional, so it is the image's
-    H(t).  ``restricted`` is the number of the image pass's standard
-    monomials of degree <= t in the old variables alone.  Their vectors
-    meet only the source's functionals, so it is the rank of the image's
-    functionals on the forms in the old variables, the source's H(t); the
-    source's own pass is a separate walk, so comparing the two can fail.
-    """
-    return hilbert_pass(scheme, target_dim).restriction_ranks(t)
 
 
 def regularity_index(scheme: FatPointScheme, target_dim: int | None = None) -> int:

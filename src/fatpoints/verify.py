@@ -90,13 +90,17 @@ def _report(check, scheme, target_dim, records, note="") -> VerificationReport:
     )
 
 
+def _require_int(target_dim) -> None:
+    if not isinstance(target_dim, int) or isinstance(target_dim, bool):
+        raise TypeError(f"target dimension must be an int, got {type(target_dim).__name__}")
+
+
 def _sides(scheme: FatPointScheme, target_dim: int, larger: bool = True) -> tuple:
     """The memoized passes of the scheme and of its image
     ``embed(scheme, target_dim)``.  A target that is not an int, or is below
     the ambient dimension, or equal to it if ``larger``, is refused before
     either pass is built."""
-    if not isinstance(target_dim, int) or isinstance(target_dim, bool):
-        raise TypeError(f"target dimension must be an int, got {type(target_dim).__name__}")
+    _require_int(target_dim)
     n = scheme.ambient_dim
     if larger and target_dim <= n:
         raise TargetTooSmall(target_dim, n, "must exceed")
@@ -262,8 +266,10 @@ def _restriction_records(source, image, t: int) -> list[CheckRecord]:
     (i) Membership compares two subspaces of the image ideal I_t: lhs is
     the dimension of the members whose restriction lies in the source
     ideal, rhs is dim I_t.  They are equal exactly when restriction maps
-    I_t into the source ideal; on a failure lhs < rhs, and neither number
-    depends on a choice of basis.
+    I_t into the source ideal, and on a failure lhs < rhs.  Every source
+    functional is an image functional, so lhs is computed as C(t + m, m)
+    minus the image's H(t), which is rhs too: the record cannot fail until
+    the members' restrictions are tested on the source's functionals.
 
     (ii) The members of I_t involving only the old variables form a space
     of exactly the source ideal's dimension: lhs counts them from the
@@ -271,9 +277,8 @@ def _restriction_records(source, image, t: int) -> list[CheckRecord]:
     """
     n, m = source.dim, image.dim
     image_dim = image.ideal_dim(t)
-    stacked, restricted = image.restriction_ranks(t)
-    kept = binomial(t + m, m) - stacked
-    inter_dim = binomial(t + n, n) - restricted
+    kept = binomial(t + m, m) - image.h(t)
+    inter_dim = binomial(t + n, n) - image.old_rank(t)
     source_dim = source.ideal_dim(t)
     membership = CheckRecord(
         t,
@@ -430,6 +435,7 @@ def run_checks(
     passing not-applicable reports; explicitly selected checks raise
     instead.  ``prop44_diagnostic`` appends the displayed-coefficient
     variant, which is expected to fail and is listed in DIAGNOSTIC_CHECKS.
+    A target that is not an int is refused before any check runs.
     """
     requested = list(names)
     if "all" in requested:
@@ -437,6 +443,7 @@ def run_checks(
     unknown = sorted(set(requested) - set(CHECK_NAMES))
     if unknown:
         raise SchemeFormatError(f"unknown checks: {', '.join(unknown)}")
+    _require_int(target_dim)  # also where no selected check reaches an image
     # built per call, so a check function replaced on the module is the one that runs
     table = {
         "reg": [check_reg_invariance],

@@ -17,6 +17,7 @@ from fatpoints.errors import (
 from fatpoints.hilbert import (
     conditions_matrix,
     hilbert_function,
+    hilbert_pass,
     hilbert_table,
     ideal_dim,
     monomial_basis,
@@ -66,7 +67,7 @@ def test_monomial_basis_size_and_order():
     assert basis.exponents[-1] == (0, 0, 2)
     # descending lexicographic within the fixed degree
     assert list(basis.exponents) == sorted(basis.exponents, reverse=True)
-    for k, d in ((1, 0), (1, 5), (2, 0), (2, 7), (4, 0), (4, 3), (5, 4), (7, 2)):
+    for k, d in ((1, 0), (1, 5), (2, 0), (2, 7), (4, 0), (4, 3), (5, 4), (7, 2), (3, 9), (6, 5)):
         assert list(monomial_basis(k, d).exponents) == sorted(monomials(k, d), reverse=True)
 
 
@@ -242,7 +243,8 @@ def test_single_fat_point_closed_form():
                     image = single_point_hilbert(m, mult, t)
                     assert hilbert_function(z, t, m) == image
                     source = single_point_hilbert(n, mult, t)
-                    assert hilbert_mod.restriction_ranks(z, m, t) == (image, source)
+                    got = (hilbert_function(z, t, m), hilbert_pass(z, m).old_rank(t))
+                    assert got == (image, source)
     # a 60-fold point: only the rows of order t are built
     z = _single(3, 60)
     assert len(_int_rows(z, 3, 1)[0]) == 4
@@ -353,6 +355,13 @@ def test_column_cap_enforced(monkeypatch):
         hilbert_function(z, 3)  # needs C(5,2) = 10 columns
     with pytest.raises(ResourceLimit):
         conditions_matrix(z, 3)
+    # the pass's own reads are capped too, the old-variable count included
+    for m in (2, 4):
+        walk = hilbert_pass(z, m)
+        with pytest.raises(ResourceLimit):
+            walk.old_rank(3)
+        with pytest.raises(ResourceLimit):
+            walk.h(3)
     assert hilbert_function(z, 1) == 1  # small degrees still fine
 
 
@@ -373,14 +382,14 @@ def test_unit_ideal_regularity_rejected():
 def test_safety_cap_flags_broken_hilbert_values(monkeypatch):
     # a Hilbert function that never reaches the multiplicity must trip the
     # scan bound instead of looping; a cold memo, so no stored value hides it
-    monkeypatch.setattr(hilbert_mod._Pass, "rank", lambda self, t, drop=0: 0)
+    monkeypatch.setattr(hilbert_mod._Pass, "h", lambda self, t, drop=0: 0)
     hilbert_mod._pass.cache_clear()
     with pytest.raises(InternalBoundViolation):
         regularity_index(_single(2, 2))
 
 
 def _plain_restriction_rows(scheme, target_dim, t):
-    """The stacked and restricted rows of ``restriction_ranks``, built from
+    """The stacked and restricted rows of the restriction records, built from
     the current row builder with columns matched by exponent vector."""
     n = scheme.ambient_dim
     image = embed(scheme, target_dim)
@@ -438,7 +447,10 @@ def test_restriction_certified_from_warm_memo(monkeypatch):
         with monkeypatch.context() as mp:
             calls = _recorded_eliminations(mp)
             builds = _counting_row_builds(mp)
-            got = hilbert_mod.restriction_ranks(scheme, target_dim, t)
+            got = (
+                hilbert_function(scheme, t, target_dim),
+                hilbert_pass(scheme, target_dim).old_rank(t),
+            )
         assert (calls, builds) == ([], [])
         assert list(got) == [_rank_of_int_rows(rows, ncols) for rows, ncols in plain]
 
@@ -597,9 +609,9 @@ def test_pass_matches_row_eliminations_and_the_oracle_on_the_corpus():
         walk = hilbert_mod._Pass(z, z.ambient_dim)
         for t in range(reg + 2):
             cm = conditions_matrix(z, t)
-            assert walk.rank(t) == rank(cm.matrix), (z, t)
+            assert walk.h(t) == rank(cm.matrix), (z, t)
             if cm.matrix.cols <= 20:
-                assert walk.rank(t) == naive_hilbert(z, t), (z, t)
+                assert walk.h(t) == naive_hilbert(z, t), (z, t)
 
 
 def test_image_values_match_row_eliminations_and_the_oracle_on_the_corpus():
@@ -625,7 +637,7 @@ def test_pass_prefix_counts_are_the_truncations():
                 w = truncate(z, k)
                 for t in range(reg + 2):
                     rows = 0 if isinstance(w, UnitIdeal) else _rank_of_int_rows(*_int_rows(w, dim, t))
-                    assert walk.rank(t, k) == rows, (z, dim, k, t)
+                    assert walk.h(t, k) == rows, (z, dim, k, t)
                     assert hilbert_function(z, t, dim, drop=k) == hilbert_function(w, t, dim) == rows
                     assert ideal_dim(z, t, dim, drop=k) == ideal_dim(w, t, dim)
 
@@ -641,7 +653,7 @@ def test_image_pass_is_the_pass_of_the_padded_scheme(offset):
         assert walk.coords == padded.coords and walk.size == padded.size, (z, m)
         for k in range(max(z.multiplicities)):
             for t in range(reg + 2):
-                assert walk.rank(t, k) == padded.rank(t, k), (z, m, k, t)
+                assert walk.h(t, k) == padded.h(t, k), (z, m, k, t)
 
 
 @pytest.mark.parametrize("offset", [0, 1, 2, 3])
@@ -652,9 +664,9 @@ def test_old_variable_counts_are_the_source_values(offset):
         walk = hilbert_mod._Pass(z, z.ambient_dim + offset)
         for t in range(reg + 2):
             old = walk.old_rank(t)
-            assert old == hilbert_function(z, t) <= walk.rank(t), (z, offset, t)
+            assert old == hilbert_function(z, t) <= walk.h(t), (z, offset, t)
             if offset == 0:
-                assert old == walk.rank(t), (z, t)
+                assert old == walk.h(t), (z, t)
 
 
 def _graded_lex_index(monomial, num_vars):
@@ -699,7 +711,7 @@ def test_a_second_chart_gives_the_same_table():
         walks = hilbert_mod._Pass(z, z.ambient_dim), hilbert_mod._Pass(w, w.ambient_dim)
         for k in range(max(z.multiplicities)):
             for t in range(reg + 2):
-                assert walks[0].rank(t, k) == walks[1].rank(t, k), (z, k, t)
+                assert walks[0].h(t, k) == walks[1].h(t, k), (z, k, t)
     assert moved > 0
 
 
@@ -716,7 +728,7 @@ def test_source_values_build_and_eliminate_no_rows(monkeypatch):
 
 
 def test_image_values_build_and_eliminate_no_rows(monkeypatch):
-    # H(t), the truncations and both restriction ranks of every image
+    # H(t), the truncations and the old-variable count of every image
     for z, reg in _pass_cases(10):
         n = z.ambient_dim
         for m in range(n + 1, n + 4):
@@ -727,7 +739,7 @@ def test_image_values_build_and_eliminate_no_rows(monkeypatch):
                 for t in range(regularity_index(z, m) + 2):
                     for k in range(max(z.multiplicities) + 1):
                         hilbert_function(z, t, m, drop=k)
-                    hilbert_mod.restriction_ranks(z, m, t)
+                    hilbert_pass(z, m).old_rank(t)
             assert (calls, builds) == ([], []), (z, m)
 
 
@@ -743,7 +755,7 @@ def test_negative_drop_and_image_drop_follow_truncate():
 def test_an_interrupted_walk_leaves_the_pass_as_it_was(monkeypatch, dim):
     z = gen_random(2, 4, [3, 2, 2, 1], config="generic", seed=3)
     walk = hilbert_mod._Pass(z, dim)
-    expected = [walk.rank(t, k) for k in range(3) for t in range(7)]
+    expected = [walk.h(t, k) for k in range(3) for t in range(7)]
     expected_old = [walk.old_rank(t) for t in range(7)]
     for stop in (1, 5, 20):
         hilbert_mod._pass.cache_clear()
@@ -761,7 +773,7 @@ def test_an_interrupted_walk_leaves_the_pass_as_it_was(monkeypatch, dim):
             with pytest.raises(KeyboardInterrupt):
                 hilbert_function(z, 6, dim)
         assert [hilbert_function(z, t, dim, drop=k) for k in range(3) for t in range(7)] == expected
-        assert [hilbert_mod.restriction_ranks(z, dim, t)[1] for t in range(7)] == expected_old
+        assert [hilbert_pass(z, dim).old_rank(t) for t in range(7)] == expected_old
 
 
 def test_pass_memo_stays_bounded():

@@ -260,24 +260,30 @@ def test_verify_imports_no_private_names():
     assert private == []
 
 
-# every public check that compares the scheme with an image, with the
-# arguments after the target; the scheme is on the conic, so check_rnc
-# reaches its target too
+_CONIC = make_scheme(2, [((1, 0, 0), 2), ((0, 0, 1), 1)])
+_OFF_CONIC = make_scheme(2, [((1, 0, 0), 2), ((0, 1, 0), 1), ((0, 0, 1), 1)])
+
+# every public check that compares the scheme with an image, with its scheme
+# and the arguments after the target; the conic's points are on the curve,
+# so check_rnc reaches its target too.  run_checks is given the selections
+# that reach no image: lemma23, and rnc off the curve
 _TARGETED_CHECKS = {
-    name: () if name != "check_restriction" else (0,)
+    name: (getattr(verify_mod, name), _CONIC, () if name != "check_restriction" else (0,))
     for name in verify_mod.__all__
     if name.startswith("check_")
     and "target_dim" in inspect.signature(getattr(verify_mod, name)).parameters
 }
+_TARGETED_CHECKS["run_checks-lemma23"] = (run_checks, _CONIC, (("lemma23",),))
+_TARGETED_CHECKS["run_checks-rnc"] = (run_checks, _OFF_CONIC, (("rnc",),))
 
 
 @pytest.mark.parametrize("target_dim", [None, 3.0, True])
 @pytest.mark.parametrize("name", sorted(_TARGETED_CHECKS))
 def test_a_target_that_is_not_an_int_is_refused_before_any_pass(name, target_dim):
-    z = make_scheme(2, [((1, 0, 0), 2), ((0, 0, 1), 1)])
+    check, z, args = _TARGETED_CHECKS[name]
     misses = hilbert_mod._pass.cache_info().misses
     with pytest.raises(TypeError, match="^target dimension must be an int, got "):
-        getattr(verify_mod, name)(z, target_dim, *_TARGETED_CHECKS[name])
+        check(z, target_dim, *args)
     assert hilbert_mod._pass.cache_info().misses == misses
 
 
