@@ -50,6 +50,11 @@ x^a y^b, with x the old variables and y the new, is supported on the keys
 whose alpha has new-variable part b, so the standard monomials in x alone
 are the source's, in the same order, and their count up to degree t, the
 pass's ``old_rank(t)``, is the source's H(t) from the image's own walk.
+A new variable X_j, j > n, has c_ij = 0 at every padded point, so its
+product with a vector keeps only the terms w[i, alpha - e_j] of the keys
+of level >= 1.  A standard monomial whose vector lies on level-0 keys
+alone, which its pivot, the least key, shows, has a zero product with
+every new variable, and the pass does not offer those candidates.
 
 ``conditions_matrix`` builds the conditions matrix itself.  It has one
 column per degree-t monomial and one row per pair (point, multi-index alpha
@@ -280,7 +285,7 @@ class _Pass:
         self.levels = [[-top[0]]]  # the pivots' levels, by degree
         # up to each degree: the pivots, and the standard monomials in X_1..X_n
         self.totals, self.old_totals = [1], [1]
-        self.last = {(): one}  # the last degree's standard monomials and their vectors
+        self.last = {(): top}  # the last degree's standard monomials and their pivots
         self.values: dict[tuple[int, int], int] = {}  # (t, drop) -> H(t) of Z - drop
         self.reg_value: int | None = None
 
@@ -327,10 +332,15 @@ class _Pass:
     def _candidates(self):
         """Each next-degree monomial whose divisors are all standard, in
         graded-lex order, as (monomial, vector of gamma, j): found once, as
-        gamma * X_j with j at least the last variable of gamma."""
-        previous = self.last
-        for gamma, vector in previous.items():
-            for j in range(gamma[-1][0] if gamma else 1, self.dim + 1):
+        gamma * X_j with j at least the last variable of gamma.  Where
+        gamma's pivot, the least key of its vector, has level 0, its products
+        with the new variables X_j, j > n, are zero and are skipped: the
+        vector has no key (i, alpha) to shift to (i, alpha + e_j), and c_ij = 0
+        at every padded point."""
+        previous, pivots = self.last, self.pivots
+        for gamma, key in previous.items():
+            vector, top = pivots[key], self.dim if key[0] else self.old
+            for j in range(gamma[-1][0] if gamma else 1, top + 1):
                 beta = _times(gamma, j)
                 # the divisor by X_j is gamma; the others must be standard too
                 if all(_divide(beta, k) in previous for k in range(len(beta) - 1)):
@@ -345,7 +355,7 @@ class _Pass:
                     break
                 key = _insert(pivots, self._times_variable(vector, j))
                 if key is not None:
-                    last[beta] = pivots[key]
+                    last[beta] = key
                     levels.append(-key[0])
                     old += j <= self.old
         except BaseException:  # an interrupted degree leaves no trace in the memo
@@ -378,6 +388,11 @@ _pass = lru_cache(maxsize=2)(_Pass)  # the one memo of this module
 _rank_at_degree = _pass
 
 
+def _require_degree(t) -> None:
+    if not isinstance(t, int) or isinstance(t, bool):
+        raise TypeError(f"degree must be an int, got {type(t).__name__}")
+
+
 def _scan_start(dim: int, e: int, cap: int) -> int:
     """The least t at which C(t + dim, dim) reaches e or exceeds the cap:
     below it H(t) <= C(t + dim, dim) < e."""
@@ -406,7 +421,8 @@ def hilbert_function(
     value is a read of the memoized pass, ``hilbert_pass(scheme,
     target_dim).h(t, drop)``: the functionals of a truncation are a prefix
     of its keys, so only a negative drop builds a truncated scheme, through
-    ``truncate``."""
+    ``truncate``.  A degree that is not an int is refused."""
+    _require_degree(t)
     if drop < 0:
         scheme, drop = truncate(scheme, drop), 0
     if isinstance(scheme, UnitIdeal):
@@ -421,6 +437,7 @@ def ideal_dim(
     """Dimension of the degree-t part of the defining ideal of the scheme,
     or of its image ``embed(scheme, target_dim)``; ``drop`` as for
     ``hilbert_function``."""
+    _require_degree(t)
     dim = _image_dim(scheme, target_dim)
     return binomial(t + dim, dim) - hilbert_function(scheme, t, target_dim, drop)
 

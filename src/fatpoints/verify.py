@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegreeOutOfRange,
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One compared pair of integers; t is None for whole-scheme records."""
 
     t: int | None
@@ -69,8 +68,7 @@ class CheckRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check: str
     scheme_fingerprint: str
     target_dim: int | None
@@ -90,9 +88,9 @@ def _report(check, scheme, target_dim, records, note="") -> VerificationReport:
     )
 
 
-def _require_int(target_dim) -> None:
-    if not isinstance(target_dim, int) or isinstance(target_dim, bool):
-        raise TypeError(f"target dimension must be an int, got {type(target_dim).__name__}")
+def _require_int(value, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
 
 
 def _sides(scheme: FatPointScheme, target_dim: int, larger: bool = True) -> tuple:
@@ -100,7 +98,7 @@ def _sides(scheme: FatPointScheme, target_dim: int, larger: bool = True) -> tupl
     ``embed(scheme, target_dim)``.  A target that is not an int, or is below
     the ambient dimension, or equal to it if ``larger``, is refused before
     either pass is built."""
-    _require_int(target_dim)
+    _require_int(target_dim, "target dimension")
     n = scheme.ambient_dim
     if larger and target_dim <= n:
         raise TargetTooSmall(target_dim, n, "must exceed")
@@ -172,10 +170,15 @@ def transfer_rhs(scheme: FatPointScheme, target_dim: int, t: int) -> int:
     multiplicities lowered by k (zero for the unit ideal).  Defined for
     0 <= t < reg only.
     """
+    _require_int(t, "degree")
     source = _sides(scheme, target_dim)[0]
     reg = source.reg()
     if t < 0 or t >= reg:
         raise DegreeOutOfRange(f"transfer formula needs 0 <= t < reg = {reg}, got {t}")
+    return _transfer_rhs(source, target_dim, t)
+
+
+def _transfer_rhs(source, target_dim: int, t: int) -> int:
     return binomial(t + target_dim, target_dim) - _truncation_sum(source, target_dim, t)
 
 
@@ -185,7 +188,7 @@ def check_transfer(scheme: FatPointScheme, target_dim: int) -> VerificationRepor
     records = []
     for t in range(source.reg()):
         lhs = image.h(t)
-        rhs = transfer_rhs(scheme, target_dim, t)
+        rhs = _transfer_rhs(source, target_dim, t)
         records.append(CheckRecord(t, lhs, rhs, lhs == rhs, "embedded H vs transfer formula"))
     note = "" if records else "no degrees below the regularity index"
     return _report("transfer", scheme, target_dim, records, note)
@@ -300,6 +303,7 @@ def _restriction_records(source, image, t: int) -> list[CheckRecord]:
 def check_restriction(scheme: FatPointScheme, target_dim: int, t: int) -> VerificationReport:
     """Degree-t restriction checks: ideal membership after substituting zeros,
     and the intersection-dimension identity."""
+    _require_int(t, "degree")
     records = _restriction_records(*_sides(scheme, target_dim), t)
     return _report("restriction", scheme, target_dim, records)
 
@@ -308,6 +312,8 @@ def check_restriction_range(
     scheme: FatPointScheme, target_dim: int, max_degree: int | None = None
 ) -> VerificationReport:
     """Restriction checks for every degree up to reg + 1 (or max_degree)."""
+    if max_degree is not None:
+        _require_int(max_degree, "degree")
     source, image = _sides(scheme, target_dim)
     if max_degree is None:
         max_degree = source.reg() + 1
@@ -443,7 +449,7 @@ def run_checks(
     unknown = sorted(set(requested) - set(CHECK_NAMES))
     if unknown:
         raise SchemeFormatError(f"unknown checks: {', '.join(unknown)}")
-    _require_int(target_dim)  # also where no selected check reaches an image
+    _require_int(target_dim, "target dimension")  # also where no selected check reaches an image
     # built per call, so a check function replaced on the module is the one that runs
     table = {
         "reg": [check_reg_invariance],
@@ -481,10 +487,43 @@ def report_to_json_dict(report: VerificationReport) -> dict:
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
+_STRING = json.encoder.encode_basestring_ascii
+
+
+def _value(v) -> str:
+    """``_ENCODER.encode(v)``, with the common scalars written directly."""
+    if type(v) is int:
+        return repr(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if type(v) is str:
+        return _STRING(v)
+    return _ENCODER.encode(v)
 
 
 def report_to_json(report: VerificationReport) -> str:
-    return _ENCODER.encode(report_to_json_dict(report))
+    """``_ENCODER.encode(report_to_json_dict(report))``, written directly:
+    the dict's two tests first, then each value in sorted-key order."""
+    has_note, diagnostic = bool(report.note), report.check in DIAGNOSTIC_CHECKS
+    out = [f'{{"check": {_value(report.check)}']
+    if diagnostic:
+        out.append('"diagnostic": true')
+    if has_note:
+        out.append(f'"note": {_value(report.note)}')
+    out.append(f'"pass": {_value(report.passed)}')
+    records = ", ".join(
+        f'{{"lhs": {_value(r.lhs)}, "note": {_value(r.note)}, "pass": {_value(r.passed)}, '
+        f'"rhs": {_value(r.rhs)}, "t": {_value(r.t)}}}'
+        for r in report.records
+    )
+    out.append(f'"records": [{records}]')
+    out.append(f'"scheme_fingerprint": {_value(report.scheme_fingerprint)}')
+    out.append(f'"target_dim": {_value(report.target_dim)}}}')
+    return ", ".join(out)
 
 
 def report_from_json(text: str) -> VerificationReport:

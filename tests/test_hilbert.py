@@ -673,31 +673,59 @@ def _graded_lex_index(monomial, num_vars):
     return hilbert_mod._monomials(num_vars, sum(e for _, e in monomial))[monomial]
 
 
+def _candidate_split(walk, degree):
+    """The next-degree monomials in X_1..X_dim whose divisors are all
+    standard, split into those the walk should offer, in graded-lex order,
+    and the products gamma * X_j it should skip, as (vector of gamma, j):
+    j a new variable, j > n, and gamma's vector on level-0 keys alone."""
+    offered, skipped = [], []
+    for beta in hilbert_mod._monomials(walk.dim + 1, degree + 1):
+        if beta[0][0] == 0:
+            continue
+        if not all(hilbert_mod._divide(beta, k) in walk.last for k in range(len(beta))):
+            continue
+        j, gamma = beta[-1][0], hilbert_mod._divide(beta, len(beta) - 1)
+        vector = walk.pivots[walk.last[gamma]]
+        if j > walk.old and all(key[0] == 0 for key in vector):
+            skipped.append((vector, j))
+        else:
+            offered.append(beta)
+    return offered, skipped
+
+
 @pytest.mark.parametrize("offset", [0, 2])
 def test_each_candidate_is_found_once_in_graded_lex_order(offset):
-    # every monomial of the next degree in X_1..X_dim whose divisors are all
-    # standard is a candidate, once, and the candidates come in graded-lex
-    # order, as do the standard monomials the walk keeps
-    for z, _ in _pass_cases(20):
+    # every monomial of the next degree whose divisors are all standard is a
+    # candidate, once, but for the skipped products with a new variable; the
+    # candidates come in graded-lex order, as do the standard monomials the
+    # walk keeps
+    for z, reg in _pass_cases(20):
         dim = z.ambient_dim + offset
         walk = hilbert_mod._Pass(z, dim)
-        degree = 0
-        while len(walk.pivots) < walk.size:
-            standard = set(walk.last)
+        for degree in range(reg):  # the pivots number e from degree reg on
             candidates = [beta for beta, _, _ in walk._candidates()]
-            expected = [
-                beta
-                for beta in hilbert_mod._monomials(dim + 1, degree + 1)
-                if beta[0][0] > 0
-                and all(hilbert_mod._divide(beta, k) in standard for k in range(len(beta)))
-            ]
-            assert candidates == expected, (z, dim, degree)
+            assert candidates == _candidate_split(walk, degree)[0], (z, dim, degree)
             walk._walk()
-            degree += 1
             kept = list(walk.last)
             assert kept == sorted(kept, key=lambda beta: _graded_lex_index(beta, dim + 1))
             assert set(kept) <= set(candidates), (z, dim, degree)
             assert len(kept) == walk.totals[-1] - walk.totals[-2], (z, dim, degree)
+        assert len(walk.pivots) == walk.size, (z, dim)
+
+
+def test_skipped_candidates_have_zero_products():
+    # a product the image's walk skips would have reduced to zero: its
+    # vector, gamma's times a variable that is zero at every padded point, is
+    # empty before any reduction
+    skipped = 0
+    for z, reg in _pass_cases(20):
+        walk = hilbert_mod._Pass(z, z.ambient_dim + 2)
+        for degree in range(reg):
+            for vector, j in _candidate_split(walk, degree)[1]:
+                assert walk._times_variable(vector, j) == {}, (z, degree, j)
+                skipped += 1
+            walk._walk()
+    assert skipped > 0
 
 
 def test_a_second_chart_gives_the_same_table():

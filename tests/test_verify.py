@@ -1,5 +1,6 @@
 import ast
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ from fatpoints.errors import (
 from fatpoints.hilbert import hilbert_function, ideal_dim, regularity_index
 from fatpoints.scheme import embed, gen_random, make_scheme, rnc_points
 from fatpoints.verify import (
+    CheckRecord,
+    VerificationReport,
     check_cor46,
     check_lemma23,
     check_prop44,
@@ -31,6 +34,7 @@ from fatpoints.verify import (
     points_on_rnc,
     report_from_json,
     report_to_json,
+    report_to_json_dict,
     rnc_reg_formula,
     run_checks,
     transfer_rhs,
@@ -287,6 +291,32 @@ def test_a_target_that_is_not_an_int_is_refused_before_any_pass(name, target_dim
     assert hilbert_mod._pass.cache_info().misses == misses
 
 
+# every public function that takes a degree, called with it; the CLI passes
+# only ints.  check_restriction_range's max_degree is None by default
+_DEGREE_TAKERS = {
+    "hilbert_function": lambda t: hilbert_function(TRIPLE_LINE, t),
+    "ideal_dim": lambda t: ideal_dim(TRIPLE_LINE, t),
+    "transfer_rhs": lambda t: transfer_rhs(TRIPLE_LINE, 2, t),
+    "check_restriction": lambda t: check_restriction(TRIPLE_LINE, 2, t),
+    "check_restriction_range": lambda t: check_restriction_range(TRIPLE_LINE, 2, t),
+}
+
+
+@pytest.mark.parametrize(
+    "name, t",
+    [
+        (name, t)
+        for name in sorted(_DEGREE_TAKERS)
+        for t in (True, 1.5, None, "2")
+        if (name, t) != ("check_restriction_range", None)
+    ],
+)
+def test_a_degree_that_is_not_an_int_is_refused(name, t):
+    message = f"^degree must be an int, got {type(t).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        _DEGREE_TAKERS[name](t)
+
+
 class TestLemma23:
     def test_two_simple_points(self):
         z = _simple_points(2, 2)
@@ -408,6 +438,37 @@ def test_report_json_round_trip():
     z = gen_random(1, 2, [2, 1], config="generic", seed=14)
     for report in run_checks(z, 3):
         assert report_from_json(report_to_json(report)) == report
+
+
+def _encoded(report):
+    return verify_mod._ENCODER.encode(report_to_json_dict(report))
+
+
+def test_the_report_writer_matches_the_encoder_on_odd_values():
+    records = (
+        CheckRecord(None, -3, 10**300, False, ""),
+        CheckRecord(0, -(10**250), 0, True, "caf\u00e9 \u2260 \U0001d400 \"quoted\"\n"),
+    )
+    reports = [
+        VerificationReport("transfer", "f" * 64, None, (), True),
+        VerificationReport("reg_invariance", "abc", 3, records, False, "n\u00f6te"),
+        VerificationReport("prop44_displayed_variant", "abc", -4, records[:1], False, "x"),
+        # bool, float and str values where ints and strings belong
+        report_from_json(
+            '{"check": 7, "scheme_fingerprint": 1.5, "target_dim": true, "pass": "no", '
+            '"note": 0, "records": [{"t": false, "lhs": 2.5, "rhs": "7", "pass": 1, '
+            '"note": 1e300}, {"t": "1", "lhs": true, "rhs": null, "pass": null}]}'
+        ),
+    ]
+    for report in reports:
+        assert report_to_json(report) == _encoded(report), report
+    half = CheckRecord(1, Fraction(1, 2), 0, True)
+    with_fraction = VerificationReport("rnc", "abc", 2, (half,), True)
+    with pytest.raises(TypeError) as expected:
+        _encoded(with_fraction)
+    with pytest.raises(TypeError) as got:
+        report_to_json(with_fraction)
+    assert str(got.value) == str(expected.value)
 
 
 def test_points_on_rnc_detection():
