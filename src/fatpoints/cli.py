@@ -15,9 +15,11 @@ import sys
 from pathlib import Path
 
 from . import hilbert as hilbert_mod
-from .errors import DegreeOutOfRange, FatpointsError, ResourceLimit, SchemeFormatError, _brief
+from .errors import DegreeOutOfRange, FatpointsError, ResourceLimit, SchemeFormatError
+from .errors import _brief, _text
 from .hilbert import hilbert_function, regularity_index
 from .scheme import (
+    _image_dim,
     embed,
     gen_random,
     multiplicity,
@@ -49,15 +51,6 @@ def _load_scheme(path: str):
     except UnicodeDecodeError as exc:
         raise SchemeFormatError(f"scheme file is not UTF-8: {exc}") from None
     return scheme_from_json(text)
-
-
-def _int_text(value: int) -> str:
-    try:
-        return str(value)
-    except ValueError:
-        raise FatpointsError(
-            f"a {value.bit_length()}-bit result is over the integer-string limit"
-        ) from None
 
 
 def _int_option(text: str) -> int:
@@ -113,15 +106,14 @@ def _cmd_reg(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
-    print(f"e = {_int_text(multiplicity(_load_scheme(args.scheme)))}")
+    print(f"e = {_text(multiplicity(_load_scheme(args.scheme)), 'result')}")
     return 0
 
 
 def _cmd_embed(args) -> int:
     scheme = _load_scheme(args.scheme)
     # each coordinate of P^dim is a column of the degree-1 conditions matrix
-    if args.target_dim >= scheme.ambient_dim:  # a smaller target is embed's TargetTooSmall
-        hilbert_mod._cap_check(args.target_dim, 1)
+    hilbert_mod._cap_check(_image_dim(scheme, args.target_dim), 1)
     image = embed(scheme, args.target_dim)
     _write_output(scheme_to_json(image), args.output)
     return 0
@@ -173,7 +165,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rnc_formula(args) -> int:
-    print(_int_text(rnc_reg_formula(_parse_mults(args.mults), args.n)))
+    print(_text(rnc_reg_formula(_parse_mults(args.mults), args.n), "result"))
     return 0
 
 

@@ -10,6 +10,15 @@ def _brief(value: int) -> str:
     return f"({sign}{value.bit_length()}-bit integer)"
 
 
+def _text(value, what: str) -> str:
+    """``str(value)``, or over the integer-string limit an error naming its bits."""
+    try:
+        return str(value)
+    except ValueError:
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        raise FatpointsError(f"a {bits}-bit {what} is over the integer-string limit") from None
+
+
 class FatpointsError(Exception):
     """Base class for every error raised by this package."""
 

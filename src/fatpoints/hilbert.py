@@ -314,7 +314,11 @@ class _Pass:
     def reg(self) -> int:
         """The least t with H(t) = e; see ``regularity_index``."""
         if self.reg_value is None:
-            t = _scan_start(self.dim, self.size, self.cap)
+            # below the least t where C(t + dim, dim) reaches e or exceeds the
+            # cap, H(t) <= C(t + dim, dim) < e
+            t = 0
+            while binomial(t + self.dim, self.dim) < min(self.size, self.cap + 1):
+                t += 1
             bound = self.scheme.total_multiplicity() - 1
             while self.h(t) != self.size:
                 if t >= bound:
@@ -393,15 +397,6 @@ def _require_degree(t) -> None:
         raise TypeError(f"degree must be an int, got {type(t).__name__}")
 
 
-def _scan_start(dim: int, e: int, cap: int) -> int:
-    """The least t at which C(t + dim, dim) reaches e or exceeds the cap:
-    below it H(t) <= C(t + dim, dim) < e."""
-    t = 0
-    while binomial(t + dim, dim) < min(e, cap + 1):
-        t += 1
-    return t
-
-
 def hilbert_pass(scheme: FatPointScheme, target_dim: int | None = None) -> _Pass:
     """The memoized pass of the scheme, or of its image
     ``embed(scheme, target_dim)``.  Its ``h``, ``ideal_dim`` and ``reg``
@@ -421,8 +416,10 @@ def hilbert_function(
     value is a read of the memoized pass, ``hilbert_pass(scheme,
     target_dim).h(t, drop)``: the functionals of a truncation are a prefix
     of its keys, so only a negative drop builds a truncated scheme, through
-    ``truncate``.  A degree that is not an int is refused."""
+    ``truncate``.  A degree or a drop that is not an int is refused."""
     _require_degree(t)
+    if not isinstance(drop, int) or isinstance(drop, bool):
+        raise TypeError(f"drop must be an int, got {type(drop).__name__}")
     if drop < 0:
         scheme, drop = truncate(scheme, drop), 0
     if isinstance(scheme, UnitIdeal):
@@ -437,9 +434,9 @@ def ideal_dim(
     """Dimension of the degree-t part of the defining ideal of the scheme,
     or of its image ``embed(scheme, target_dim)``; ``drop`` as for
     ``hilbert_function``."""
-    _require_degree(t)
+    h = hilbert_function(scheme, t, target_dim, drop)
     dim = _image_dim(scheme, target_dim)
-    return binomial(t + dim, dim) - hilbert_function(scheme, t, target_dim, drop)
+    return binomial(t + dim, dim) - h
 
 
 def regularity_index(scheme: FatPointScheme, target_dim: int | None = None) -> int:
@@ -449,15 +446,13 @@ def regularity_index(scheme: FatPointScheme, target_dim: int | None = None) -> i
 
     Since H(t) <= C(t+n, n), the scan starts at the least t where C(t+n, n)
     reaches the multiplicity or exceeds the column cap; such a first degree
-    over the cap is refused before a pass is built.  The scan is capped at
+    over the cap is refused before any elimination.  The scan is capped at
     sum(m_i) - 1, the classical worst case attained by collinear points;
     exceeding it means the Hilbert computation itself is broken, so that
     raises InternalBoundViolation rather than looping.
     """
     if isinstance(scheme, UnitIdeal):
         raise ValueError("the regularity index needs a nonempty scheme")
-    dim = _image_dim(scheme, target_dim)
-    _cap_check(dim, _scan_start(dim, multiplicity(scheme, dim), COLUMN_CAP))
     return hilbert_pass(scheme, target_dim).reg()
 
 

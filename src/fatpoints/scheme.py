@@ -30,13 +30,13 @@ from .errors import (
     DimensionMismatch,
     DuplicateParameter,
     DuplicatePoint,
-    FatpointsError,
     NonpositiveMultiplicity,
     SchemeFormatError,
     TargetTooSmall,
     ZeroParameter,
     ZeroPoint,
     _brief,
+    _text,
 )
 from .exactlinalg import binomial
 
@@ -213,11 +213,16 @@ def make_scheme(ambient_dim: int, raw_components: Iterable[tuple[Sequence, int]]
 
 def _image_dim(scheme: TruncatedScheme, target_dim: int | None) -> int:
     """The ambient dimension of ``embed(scheme, target_dim)``, the scheme's
-    own for None.  A target below the scheme's is refused."""
+    own for None.  A target that is not an int, or is below the scheme's,
+    is refused."""
     n = scheme.ambient_dim
-    if target_dim is not None and target_dim < n:
+    if target_dim is None:
+        return n
+    if not isinstance(target_dim, int) or isinstance(target_dim, bool):
+        raise TypeError(f"target dimension must be an int, got {type(target_dim).__name__}")
+    if target_dim < n:
         raise TargetTooSmall(target_dim, n)
-    return n if target_dim is None else target_dim
+    return target_dim
 
 
 def multiplicity(scheme: FatPointScheme, target_dim: int | None = None) -> int:
@@ -343,19 +348,11 @@ def gen_random(
     return make_scheme(n, [(p.coords, m) for p, m in zip(points, mults)])
 
 
-def _fraction_str(value: Fraction) -> str:
-    try:
-        return str(value)
-    except ValueError:  # over the interpreter's integer-string limit
-        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-        raise FatpointsError(f"a {bits}-bit coordinate is over the integer-string limit") from None
-
-
 def scheme_to_json_dict(scheme: FatPointScheme) -> dict:
     return {
         "ambient_dim": scheme.ambient_dim,
         "points": [
-            {"coords": [_fraction_str(c) for c in p.coords], "multiplicity": m}
+            {"coords": [_text(c, "coordinate") for c in p.coords], "multiplicity": m}
             for p, m in scheme.components
         ],
     }

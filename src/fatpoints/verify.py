@@ -102,9 +102,8 @@ def _sides(scheme: FatPointScheme, target_dim: int, larger: bool = True) -> tupl
     n = scheme.ambient_dim
     if larger and target_dim <= n:
         raise TargetTooSmall(target_dim, n, "must exceed")
-    if target_dim < n:
-        raise TargetTooSmall(target_dim, n)
-    return hilbert_pass(scheme), hilbert_pass(scheme, target_dim)
+    image = hilbert_pass(scheme, target_dim)  # first: refuses one below n
+    return hilbert_pass(scheme), image
 
 
 def check_reg_invariance(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
@@ -314,6 +313,8 @@ def check_restriction_range(
     """Restriction checks for every degree up to reg + 1 (or max_degree)."""
     if max_degree is not None:
         _require_int(max_degree, "degree")
+        if max_degree < 0:
+            raise DegreeOutOfRange(f"degree must be nonnegative, got {max_degree}")
     source, image = _sides(scheme, target_dim)
     if max_degree is None:
         max_degree = source.reg() + 1

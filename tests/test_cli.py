@@ -476,8 +476,11 @@ def test_column_cap_env_exit_three(monkeypatch, triple_point_file, capsys):
 
 
 def test_column_cap_env_validation(monkeypatch, triple_point_file, capsys):
-    monkeypatch.setenv("FATPOINTS_COLUMN_CAP", "zero")
-    assert main(["reg", "--scheme", triple_point_file]) == 1
+    for cap in ("zero", "0"):
+        monkeypatch.setenv("FATPOINTS_COLUMN_CAP", cap)
+        assert main(["reg", "--scheme", triple_point_file]) == 1
+        message = f"FATPOINTS_COLUMN_CAP of {len(cap)} characters is not a positive integer"
+        assert capsys.readouterr().err == f"fatpoints: error: {message}\n"
 
 
 def test_rnc_formula_command(capsys):
@@ -485,6 +488,9 @@ def test_rnc_formula_command(capsys):
     assert capsys.readouterr().out == "4\n"
     assert main(["rnc-formula", "--n", "2", "--mults", "3"]) == 1
     assert main(["rnc-formula", "--n", "2", "--mults", "3,x"]) == 1
+    capsys.readouterr()
+    assert main(["rnc-formula", "--n", "2", "--mults", ","]) == 1
+    assert capsys.readouterr().err == "fatpoints: error: multiplicity list is empty\n"
 
 
 def test_rnc_formula_bad_values_exit_one(capsys):

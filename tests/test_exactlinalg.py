@@ -169,6 +169,10 @@ def test_matrix_validation():
         Matrix.from_rows([[1, 2], [3]])
     with pytest.raises(TypeError):
         Matrix.from_rows([[0.5]])
+    with pytest.raises(ValueError, match="^matrix dimensions must be nonnegative$"):
+        Matrix(-1, 0, ())
+    with pytest.raises(ValueError, match="^cols argument disagrees with row length$"):
+        Matrix.from_rows([[1, 2]], cols=3)
 
 
 def test_matrix_accessors():

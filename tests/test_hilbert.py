@@ -69,6 +69,8 @@ def test_monomial_basis_size_and_order():
     assert list(basis.exponents) == sorted(basis.exponents, reverse=True)
     for k, d in ((1, 0), (1, 5), (2, 0), (2, 7), (4, 0), (4, 3), (5, 4), (7, 2), (3, 9), (6, 5)):
         assert list(monomial_basis(k, d).exponents) == sorted(monomials(k, d), reverse=True)
+    with pytest.raises(ValueError, match="^need at least one variable"):
+        monomial_basis(0, 1)
 
 
 def test_conditions_matrix_simple_point_line():
@@ -366,12 +368,17 @@ def test_column_cap_enforced(monkeypatch):
 
 
 def test_regularity_refused_before_any_elimination(monkeypatch):
-    # H(t) <= C(t+1, 1) = t + 1 < 1000 below t = 999, which needs 1000 columns
+    # H(t) <= C(t+1, 1) = t + 1 < 1000 below t = 999, so the scan starts at
+    # t = 50, the first degree over the cap; the pass refuses it unwalked
     monkeypatch.setattr(hilbert_mod, "COLUMN_CAP", 50)
-    misses = hilbert_mod._rank_at_degree.cache_info().misses
-    with pytest.raises(ResourceLimit):
+
+    def no_elimination(*args):
+        pytest.fail("a candidate was eliminated before the refusal")
+
+    monkeypatch.setattr(hilbert_mod, "_insert", no_elimination)
+    message = r"^degree 50 in P\^1 needs 51 monomial columns \(cap 50\)$"
+    with pytest.raises(ResourceLimit, match=message):
         regularity_index(_single(1, 1000))
-    assert hilbert_mod._rank_at_degree.cache_info().misses == misses
 
 
 def test_unit_ideal_regularity_rejected():
@@ -386,6 +393,20 @@ def test_safety_cap_flags_broken_hilbert_values(monkeypatch):
     hilbert_mod._pass.cache_clear()
     with pytest.raises(InternalBoundViolation):
         regularity_index(_single(2, 2))
+
+
+def test_hilbert_table_flags_a_malformed_table(monkeypatch):
+    # every value read as e: the scan stops at its start, t = 1, and the
+    # table (3, 3) does not start at 1; the memo is cleared on both sides, so
+    # no pass keeps that regularity index
+    monkeypatch.setattr(hilbert_mod._Pass, "h", lambda self, t, drop=0: self.size)
+    hilbert_mod._pass.cache_clear()
+    message = r"^malformed Hilbert table \(3, 3\) for e = 3$"
+    try:
+        with pytest.raises(InternalBoundViolation, match=message):
+            hilbert_table(_single(2, 2))
+    finally:
+        hilbert_mod._pass.cache_clear()
 
 
 def _plain_restriction_rows(scheme, target_dim, t):
@@ -530,6 +551,33 @@ def test_target_below_the_scheme_is_refused_like_embed():
         with pytest.raises(TargetTooSmall) as got:
             call()
         assert str(got.value) == str(expected.value)
+
+
+# every Hilbert-layer entry that takes a target, called with one on a scheme
+# of P^1: True once answered for target 1, and 3.0 failed deep in the pass
+_TARGET_TAKERS = {
+    "hilbert_function": lambda z, m: hilbert_function(z, 2, m),
+    "ideal_dim": lambda z, m: ideal_dim(z, 2, m),
+    "regularity_index": regularity_index,
+    "multiplicity": multiplicity,
+    "embed": embed,
+    "hilbert_pass": hilbert_pass,
+}
+
+
+@pytest.mark.parametrize("target_dim", [True, 3.0, "3"])
+@pytest.mark.parametrize("name", sorted(_TARGET_TAKERS))
+def test_a_target_that_is_not_an_int_is_refused(name, target_dim):
+    message = f"^target dimension must be an int, got {type(target_dim).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        _TARGET_TAKERS[name](_single(1, 2), target_dim)
+
+
+@pytest.mark.parametrize("drop", [True, 1.5, None, "1"])
+@pytest.mark.parametrize("function", [hilbert_function, ideal_dim])
+def test_a_drop_that_is_not_an_int_is_refused(function, drop):
+    with pytest.raises(TypeError, match=f"^drop must be an int, got {type(drop).__name__}$"):
+        function(_single(1, 3), 2, drop=drop)
 
 
 def test_embedded_rows_take_memory_by_columns_not_variables():

@@ -36,6 +36,7 @@ from fatpoints.scheme import (
 def test_point_normalization_scales_to_leading_one():
     assert ProjectivePoint((2, 0)).coords == (1, 0)
     assert ProjectivePoint((0, 3, 9)).coords == (0, 1, 3)
+    assert ProjectivePoint((0, 3, 9)).ambient_dim == 2
 
 
 def test_point_normalization_idempotent_and_scale_invariant():
@@ -217,6 +218,8 @@ def test_rnc_points_parameter_validation():
         rnc_points(2, [(0, 0)])
     with pytest.raises(DuplicateParameter):
         rnc_points(2, [(1, 2), (2, 4)])
+    with pytest.raises(SchemeFormatError, match="^ambient dimension must be at least 1$"):
+        rnc_points(0, [(1, 0)])
 
 
 def test_rnc_points_pairwise_distinct():
@@ -250,6 +253,9 @@ def test_gen_random_validates_arguments():
         gen_random(2, 2, [1], config="generic", seed=0)
     with pytest.raises(ValueError):
         gen_random(2, 1, [1], config="weird", seed=0)
+    # the box [-5, 5]^2 holds fewer than 120 points of the line
+    with pytest.raises(DuplicatePoint, match="^could not draw 120 distinct points"):
+        gen_random(1, 120, [1] * 120, "collinear", 3)
 
 
 def test_gen_random_without_points_is_refused():
@@ -285,6 +291,8 @@ def test_json_parser_rejects_floats_and_bad_fractions():
         )
     with pytest.raises(SchemeFormatError):
         scheme_from_json("not json")
+    with pytest.raises(SchemeFormatError, match=r"^points\[0\] coords must be a list"):
+        scheme_from_json('{"ambient_dim": 1, "points": [{"coords": "1", "multiplicity": 1}]}')
 
 
 def test_json_parser_propagates_scheme_errors():

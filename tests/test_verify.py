@@ -317,6 +317,17 @@ def test_a_degree_that_is_not_an_int_is_refused(name, t):
         _DEGREE_TAKERS[name](t)
 
 
+# a negative degree is refused by every restriction entry with the same
+# message; the range refuses it before either pass is built
+@pytest.mark.parametrize("check", [check_restriction, check_restriction_range])
+def test_a_negative_restriction_degree_is_refused(check):
+    hilbert_mod._pass.cache_clear()  # a cold memo, so a built pass shows as a miss
+    with pytest.raises(DegreeOutOfRange, match="^degree must be nonnegative, got -1$"):
+        check(TRIPLE_LINE, 2, -1)
+    if check is check_restriction_range:
+        assert hilbert_mod._pass.cache_info().misses == 0
+
+
 class TestLemma23:
     def test_two_simple_points(self):
         z = _simple_points(2, 2)
@@ -438,6 +449,8 @@ def test_report_json_round_trip():
     z = gen_random(1, 2, [2, 1], config="generic", seed=14)
     for report in run_checks(z, 3):
         assert report_from_json(report_to_json(report)) == report
+    with pytest.raises(SchemeFormatError, match="^malformed report document: "):
+        report_from_json('{"check": "x"}')
 
 
 def _encoded(report):
