@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import hilbert as hilbert_mod
 from .errors import DegreeOutOfRange, FatpointsError, ResourceLimit, SchemeFormatError
-from .errors import _brief, _text
+from .errors import _text, brief
 from .hilbert import hilbert_function, regularity_index
 from .scheme import (
     _image_dim,
@@ -84,7 +84,7 @@ def _parse_mults(raw: str) -> list[int]:
 def _cmd_hilbert(args) -> int:
     scheme = _load_scheme(args.scheme)
     if args.tmax is not None and args.tmax < 0:
-        raise DegreeOutOfRange(f"--tmax must be nonnegative, got {_brief(args.tmax)}")
+        raise DegreeOutOfRange(f"--tmax must be nonnegative, got {brief(args.tmax)}")
     degrees = [args.t] if args.t is not None else range(args.tmax + 1)
     values = [(t, hilbert_function(scheme, t)) for t in degrees]
     if args.format == "json":

@@ -1,13 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two rules that every
+layer's messages use: ``require_int``, the type rule of an integer
+argument, and ``brief``, which names an integer in one short line."""
 
 
-def _brief(value: int) -> str:
+def brief(value: int) -> str:
     """An integer for an error message: in full up to 64 bits, else named
     by its bit length, so that the message stays one short line."""
     if value.bit_length() <= 64:
         return str(value)
     sign = "negative " if value < 0 else ""
     return f"({sign}{value.bit_length()}-bit integer)"
+
+
+def require_int(value, what: str) -> None:
+    """Refuse a value that is not an int, a bool included, with TypeError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
 
 
 def _text(value, what: str) -> str:
@@ -47,7 +55,7 @@ class TargetTooSmall(FatpointsError):
 
     def __str__(self):
         target_dim, ambient_dim, relation = self.args
-        return f"target dimension {_brief(target_dim)} {relation} ambient {ambient_dim}"
+        return f"target dimension {brief(target_dim)} {relation} ambient {ambient_dim}"
 
 
 class ZeroParameter(FatpointsError):

@@ -85,8 +85,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 
-from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit, _brief
+from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit, brief, require_int
 from .exactlinalg import Matrix, binomial, _insert
 from .scheme import FatPointScheme, TruncatedScheme, UnitIdeal, _image_dim, multiplicity, truncate
 
@@ -202,7 +203,7 @@ def _cap_check(ambient_dim: int, t: int, cap: int | None = None) -> None:
     min(t, ambient_dim) factors and cut short once it passes both the cap
     and 2^64, so a count over 64 bits is named as a lower bound."""
     if t < 0:
-        raise DegreeOutOfRange(f"degree must be nonnegative, got {_brief(t)}")
+        raise DegreeOutOfRange(f"degree must be nonnegative, got {brief(t)}")
     cap = COLUMN_CAP if cap is None else cap
     k, cut = min(t, ambient_dim), max(cap, 2**64)
     cols = 1
@@ -211,10 +212,10 @@ def _cap_check(ambient_dim: int, t: int, cap: int | None = None) -> None:
         if cols > cut:
             break
     if cols > cap:
-        count = _brief(cols) if cols.bit_length() <= 64 else f"at least {_brief(cols)}"
+        count = brief(cols) if cols.bit_length() <= 64 else f"at least {brief(cols)}"
         raise ResourceLimit(
-            f"degree {_brief(t)} in P^{_brief(ambient_dim)} needs {count} monomial "
-            f"columns (cap {_brief(cap)})"
+            f"degree {brief(t)} in P^{brief(ambient_dim)} needs {count} monomial "
+            f"columns (cap {brief(cap)})"
         )
 
 
@@ -281,8 +282,7 @@ class _Pass:
         # a key (-level, component, alpha) sorts by decreasing level m_i - 1 - |alpha|
         one = {(1 - m, i, ()): 1 for i, (_, m) in enumerate(scheme.components)}
         top = min(one)
-        self.pivots = {top: one}
-        self.levels = [[-top[0]]]  # the pivots' levels, by degree
+        self.pivots = {top: one}  # in walk order: up to degree t, the first totals[t]
         # up to each degree: the pivots, and the standard monomials in X_1..X_n
         self.totals, self.old_totals = [1], [1]
         self.last = {(): top}  # the last degree's standard monomials and their pivots
@@ -299,12 +299,11 @@ class _Pass:
         value = self.values.get((t, drop))
         if value is None:
             _cap_check(self.dim, t, self.cap)
-            while len(self.levels) <= t and len(self.pivots) < self.size:
+            while len(self.totals) <= t and len(self.pivots) < self.size:
                 self._walk()
-            if drop:
-                value = sum(level >= drop for levels in self.levels[: t + 1] for level in levels)
-            else:
-                value = self.totals[min(t, len(self.totals) - 1)]
+            value = self.totals[min(t, len(self.totals) - 1)]
+            if drop:  # the pivots of level >= drop among the first H(t)
+                value = sum(key[0] <= -drop for key in islice(self.pivots, value))
             self.values[t, drop] = value
         return value
 
@@ -352,7 +351,7 @@ class _Pass:
 
     def _walk(self) -> None:
         pivots, known = self.pivots, len(self.pivots)
-        levels, last, old = [], {}, self.old_totals[-1]
+        last, old = {}, self.old_totals[-1]
         try:
             for beta, vector, j in self._candidates():
                 if len(pivots) == self.size:  # every later candidate reduces to zero
@@ -360,14 +359,12 @@ class _Pass:
                 key = _insert(pivots, self._times_variable(vector, j))
                 if key is not None:
                     last[beta] = key
-                    levels.append(-key[0])
                     old += j <= self.old
         except BaseException:  # an interrupted degree leaves no trace in the memo
             for key in list(pivots)[known:]:
                 del pivots[key]
             raise
         self.last = last
-        self.levels.append(levels)
         self.totals.append(len(pivots))
         self.old_totals.append(old)
 
@@ -392,11 +389,6 @@ _pass = lru_cache(maxsize=2)(_Pass)  # the one memo of this module
 _rank_at_degree = _pass
 
 
-def _require_degree(t) -> None:
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise TypeError(f"degree must be an int, got {type(t).__name__}")
-
-
 def hilbert_pass(scheme: FatPointScheme, target_dim: int | None = None) -> _Pass:
     """The memoized pass of the scheme, or of its image
     ``embed(scheme, target_dim)``.  Its ``h``, ``ideal_dim`` and ``reg``
@@ -417,9 +409,8 @@ def hilbert_function(
     target_dim).h(t, drop)``: the functionals of a truncation are a prefix
     of its keys, so only a negative drop builds a truncated scheme, through
     ``truncate``.  A degree or a drop that is not an int is refused."""
-    _require_degree(t)
-    if not isinstance(drop, int) or isinstance(drop, bool):
-        raise TypeError(f"drop must be an int, got {type(drop).__name__}")
+    require_int(t, "degree")
+    require_int(drop, "drop")
     if drop < 0:
         scheme, drop = truncate(scheme, drop), 0
     if isinstance(scheme, UnitIdeal):

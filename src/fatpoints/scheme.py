@@ -35,8 +35,9 @@ from .errors import (
     TargetTooSmall,
     ZeroParameter,
     ZeroPoint,
-    _brief,
     _text,
+    brief,
+    require_int,
 )
 from .exactlinalg import binomial
 
@@ -182,8 +183,10 @@ def make_scheme(ambient_dim: int, raw_components: Iterable[tuple[Sequence, int]]
 
     Component order is preserved.  Raises ZeroPoint, DuplicatePoint,
     NonpositiveMultiplicity, DimensionMismatch or SchemeFormatError (no
-    components, ambient dimension below 1) on bad input.
+    components, ambient dimension not an int or below 1) on bad input.
     """
+    if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool):
+        raise SchemeFormatError("ambient_dim must be an integer")
     if ambient_dim < 1:
         raise SchemeFormatError("ambient dimension must be at least 1")
     # points are named by their position, never by their coordinates,
@@ -194,7 +197,7 @@ def make_scheme(ambient_dim: int, raw_components: Iterable[tuple[Sequence, int]]
         coords = tuple(coords)
         if len(coords) != ambient_dim + 1:
             raise DimensionMismatch(
-                f"points[{k}] has {len(coords)} coordinates, expected {_brief(ambient_dim + 1)}"
+                f"points[{k}] has {len(coords)} coordinates, expected {brief(ambient_dim + 1)}"
             )
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise NonpositiveMultiplicity(
@@ -218,8 +221,7 @@ def _image_dim(scheme: TruncatedScheme, target_dim: int | None) -> int:
     n = scheme.ambient_dim
     if target_dim is None:
         return n
-    if not isinstance(target_dim, int) or isinstance(target_dim, bool):
-        raise TypeError(f"target dimension must be an int, got {type(target_dim).__name__}")
+    require_int(target_dim, "target dimension")
     if target_dim < n:
         raise TargetTooSmall(target_dim, n)
     return target_dim
@@ -251,8 +253,10 @@ def truncate(scheme: TruncatedScheme, k: int) -> TruncatedScheme:
     """Lower every multiplicity by k, dropping components that reach 0.
 
     If nothing survives the result is the UnitIdeal marker (the defining
-    ideal is the whole ring).  Negative k raises multiplicities.
+    ideal is the whole ring).  Negative k raises multiplicities, and a k
+    that is not an int is refused.
     """
+    require_int(k, "drop")
     if isinstance(scheme, UnitIdeal):
         return scheme
     comps = tuple((p, m - k) for p, m in scheme.components if m - k >= 1)
@@ -370,8 +374,6 @@ def scheme_from_json_dict(doc: dict) -> FatPointScheme:
         points = doc["points"]
     except KeyError as missing:
         raise SchemeFormatError(f"missing key {missing}") from None
-    if not isinstance(ambient, int) or isinstance(ambient, bool):
-        raise SchemeFormatError("ambient_dim must be an integer")
     if not isinstance(points, list):
         raise SchemeFormatError("points must be a list")
     raw = []

@@ -28,10 +28,12 @@ from .errors import (
     SchemeFormatError,
     TargetTooSmall,
     TooFewPoints,
+    brief,
+    require_int,
 )
 from .exactlinalg import binomial
 from .hilbert import hilbert_pass
-from .scheme import FatPointScheme, multiplicity, scheme_fingerprint
+from .scheme import FatPointScheme, scheme_fingerprint
 
 __all__ = [
     "CheckRecord",
@@ -88,17 +90,12 @@ def _report(check, scheme, target_dim, records, note="") -> VerificationReport:
     )
 
 
-def _require_int(value, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
-
-
 def _sides(scheme: FatPointScheme, target_dim: int, larger: bool = True) -> tuple:
     """The memoized passes of the scheme and of its image
     ``embed(scheme, target_dim)``.  A target that is not an int, or is below
     the ambient dimension, or equal to it if ``larger``, is refused before
     either pass is built."""
-    _require_int(target_dim, "target dimension")
+    require_int(target_dim, "target dimension")
     n = scheme.ambient_dim
     if larger and target_dim <= n:
         raise TargetTooSmall(target_dim, n, "must exceed")
@@ -125,10 +122,10 @@ def check_stable_range(scheme: FatPointScheme, target_dim: int) -> VerificationR
     """In the stable range both Hilbert functions equal their multiplicity
     formulas, and the embedded one dominates, strictly unless all m_i = 1."""
     source, image = _sides(scheme, target_dim)
-    e_n = multiplicity(scheme)
+    e_n = source.size
     all_simple = all(mi == 1 for mi in scheme.multiplicities)
     reg = source.reg()
-    e_m = multiplicity(scheme, target_dim)
+    e_m = image.size
     records = []
     for t in (reg, reg + 1):
         h_n = source.h(t)
@@ -169,11 +166,11 @@ def transfer_rhs(scheme: FatPointScheme, target_dim: int, t: int) -> int:
     multiplicities lowered by k (zero for the unit ideal).  Defined for
     0 <= t < reg only.
     """
-    _require_int(t, "degree")
+    require_int(t, "degree")
     source = _sides(scheme, target_dim)[0]
     reg = source.reg()
     if t < 0 or t >= reg:
-        raise DegreeOutOfRange(f"transfer formula needs 0 <= t < reg = {reg}, got {t}")
+        raise DegreeOutOfRange(f"transfer formula needs 0 <= t < reg = {reg}, got {brief(t)}")
     return _transfer_rhs(source, target_dim, t)
 
 
@@ -302,24 +299,16 @@ def _restriction_records(source, image, t: int) -> list[CheckRecord]:
 def check_restriction(scheme: FatPointScheme, target_dim: int, t: int) -> VerificationReport:
     """Degree-t restriction checks: ideal membership after substituting zeros,
     and the intersection-dimension identity."""
-    _require_int(t, "degree")
+    require_int(t, "degree")
     records = _restriction_records(*_sides(scheme, target_dim), t)
     return _report("restriction", scheme, target_dim, records)
 
 
-def check_restriction_range(
-    scheme: FatPointScheme, target_dim: int, max_degree: int | None = None
-) -> VerificationReport:
-    """Restriction checks for every degree up to reg + 1 (or max_degree)."""
-    if max_degree is not None:
-        _require_int(max_degree, "degree")
-        if max_degree < 0:
-            raise DegreeOutOfRange(f"degree must be nonnegative, got {max_degree}")
+def check_restriction_range(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
+    """Restriction checks for every degree up to reg + 1."""
     source, image = _sides(scheme, target_dim)
-    if max_degree is None:
-        max_degree = source.reg() + 1
     records = []
-    for t in range(max_degree + 1):
+    for t in range(source.reg() + 2):
         records.extend(_restriction_records(source, image, t))
     return _report("restriction", scheme, target_dim, records)
 
@@ -350,10 +339,11 @@ def rnc_reg_formula(mults, n: int) -> int:
     with m1 >= m2 the two largest multiplicities.  Input order does not
     matter; the list is sorted internally.
     """
+    require_int(n, "ambient dimension")
     if n < 1:
         raise SchemeFormatError("ambient dimension must be at least 1")
     for k, mi in enumerate(mults):
-        if mi < 1:
+        if not isinstance(mi, int) or isinstance(mi, bool) or mi < 1:
             raise NonpositiveMultiplicity(f"multiplicity {k} is not a positive integer")
     if len(mults) < 2:
         raise TooFewPoints("the formula references the two largest multiplicities")
@@ -450,7 +440,7 @@ def run_checks(
     unknown = sorted(set(requested) - set(CHECK_NAMES))
     if unknown:
         raise SchemeFormatError(f"unknown checks: {', '.join(unknown)}")
-    _require_int(target_dim, "target dimension")  # also where no selected check reaches an image
+    require_int(target_dim, "target dimension")  # also where no selected check reaches an image
     # built per call, so a check function replaced on the module is the one that runs
     table = {
         "reg": [check_reg_invariance],

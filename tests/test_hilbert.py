@@ -573,11 +573,18 @@ def test_a_target_that_is_not_an_int_is_refused(name, target_dim):
         _TARGET_TAKERS[name](_single(1, 2), target_dim)
 
 
+_DROP_TAKERS = {
+    "hilbert_function": lambda z, drop: hilbert_function(z, 2, drop=drop),
+    "ideal_dim": lambda z, drop: ideal_dim(z, 2, drop=drop),
+    "truncate": truncate,
+}
+
+
 @pytest.mark.parametrize("drop", [True, 1.5, None, "1"])
-@pytest.mark.parametrize("function", [hilbert_function, ideal_dim])
+@pytest.mark.parametrize("function", sorted(_DROP_TAKERS))
 def test_a_drop_that_is_not_an_int_is_refused(function, drop):
     with pytest.raises(TypeError, match=f"^drop must be an int, got {type(drop).__name__}$"):
-        function(_single(1, 3), 2, drop=drop)
+        _DROP_TAKERS[function](_single(1, 3), drop)
 
 
 def test_embedded_rows_take_memory_by_columns_not_variables():

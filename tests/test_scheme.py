@@ -74,6 +74,9 @@ def test_make_scheme_input_errors():
         make_scheme(2, [((1, 0), 1)])
     with pytest.raises(ValueError):
         make_scheme(1, [])
+    for ambient_dim in (2.0, True):
+        with pytest.raises(SchemeFormatError, match="^ambient_dim must be an integer$"):
+            make_scheme(ambient_dim, [((1, 0, 0), 1)])
 
 
 def test_bad_multiplicities_are_named_by_position_and_type():

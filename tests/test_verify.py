@@ -125,6 +125,11 @@ class TestTransfer:
             transfer_rhs(TRIPLE_LINE, 2, 2)  # reg = 2
         with pytest.raises(DegreeOutOfRange):
             transfer_rhs(TRIPLE_LINE, 2, -1)
+        # over the integer-string limit, a degree is named by its bit length
+        for t, name in ((10**5000, "16610-bit"), (-(10**5000), "negative 16610-bit")):
+            message = rf"^transfer formula needs 0 <= t < reg = 2, got \({name} integer\)$"
+            with pytest.raises(DegreeOutOfRange, match=message):
+                transfer_rhs(TRIPLE_LINE, 2, t)
 
     def test_check_transfer_examples(self):
         assert check_transfer(TRIPLE_LINE, 2).passed
@@ -292,24 +297,18 @@ def test_a_target_that_is_not_an_int_is_refused_before_any_pass(name, target_dim
 
 
 # every public function that takes a degree, called with it; the CLI passes
-# only ints.  check_restriction_range's max_degree is None by default
+# only ints
 _DEGREE_TAKERS = {
     "hilbert_function": lambda t: hilbert_function(TRIPLE_LINE, t),
     "ideal_dim": lambda t: ideal_dim(TRIPLE_LINE, t),
     "transfer_rhs": lambda t: transfer_rhs(TRIPLE_LINE, 2, t),
     "check_restriction": lambda t: check_restriction(TRIPLE_LINE, 2, t),
-    "check_restriction_range": lambda t: check_restriction_range(TRIPLE_LINE, 2, t),
 }
 
 
 @pytest.mark.parametrize(
     "name, t",
-    [
-        (name, t)
-        for name in sorted(_DEGREE_TAKERS)
-        for t in (True, 1.5, None, "2")
-        if (name, t) != ("check_restriction_range", None)
-    ],
+    [(name, t) for name in sorted(_DEGREE_TAKERS) for t in (True, 1.5, None, "2")],
 )
 def test_a_degree_that_is_not_an_int_is_refused(name, t):
     message = f"^degree must be an int, got {type(t).__name__}$"
@@ -317,15 +316,11 @@ def test_a_degree_that_is_not_an_int_is_refused(name, t):
         _DEGREE_TAKERS[name](t)
 
 
-# a negative degree is refused by every restriction entry with the same
-# message; the range refuses it before either pass is built
-@pytest.mark.parametrize("check", [check_restriction, check_restriction_range])
+# a negative degree is refused with the message of the Hilbert layer's cap check
+@pytest.mark.parametrize("check", [check_restriction])
 def test_a_negative_restriction_degree_is_refused(check):
-    hilbert_mod._pass.cache_clear()  # a cold memo, so a built pass shows as a miss
     with pytest.raises(DegreeOutOfRange, match="^degree must be nonnegative, got -1$"):
         check(TRIPLE_LINE, 2, -1)
-    if check is check_restriction_range:
-        assert hilbert_mod._pass.cache_info().misses == 0
 
 
 class TestLemma23:
@@ -365,8 +360,13 @@ class TestRncFormula:
         for n in (0, -1):
             with pytest.raises(SchemeFormatError):
                 rnc_reg_formula([2, 1], n)
-        for mults in ([2, -1], [0, 3, 1]):
-            with pytest.raises(NonpositiveMultiplicity):
+        for n in (2.5, True, "2"):
+            message = f"^ambient dimension must be an int, got {type(n).__name__}$"
+            with pytest.raises(TypeError, match=message):
+                rnc_reg_formula([2, 2], n)
+        for mults in ([2, -1], [0, 3, 1], [2, 2.5], [2, True], [2, "2"]):
+            message = r"^multiplicity \d is not a positive integer$"
+            with pytest.raises(NonpositiveMultiplicity, match=message):
                 rnc_reg_formula(mults, 2)
 
 
