@@ -25,7 +25,7 @@ from .errors import (
     ZeroParameter,
     ZeroPoint,
 )
-from .exactlinalg import Matrix, Rational, binomial, nullspace_basis, rank
+from .exactlinalg import binomial
 from .scheme import (
     FatPointScheme,
     ProjectivePoint,
@@ -42,14 +42,10 @@ from .scheme import (
     truncate,
 )
 from .hilbert import (
-    ConditionsMatrix,
     HilbertTable,
-    MonomialBasis,
-    conditions_matrix,
     hilbert_function,
     hilbert_table,
     ideal_dim,
-    monomial_basis,
     regularity_index,
 )
 from .verify import (

@@ -112,7 +112,7 @@ def _cmd_multiplicity(args) -> int:
 
 def _cmd_embed(args) -> int:
     scheme = _load_scheme(args.scheme)
-    # each coordinate of P^dim is a column of the degree-1 conditions matrix
+    # each coordinate of P^dim is one of the degree-1 monomials the cap counts
     hilbert_mod._cap_check(_image_dim(scheme, args.target_dim), 1)
     image = embed(scheme, args.target_dim)
     _write_output(scheme_to_json(image), args.output)

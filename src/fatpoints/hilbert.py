@@ -56,48 +56,27 @@ of level >= 1.  A standard monomial whose vector lies on level-0 keys
 alone, which its pivot, the least key, shows, has a zero product with
 every new variable, and the pass does not offer those candidates.
 
-``conditions_matrix`` builds the conditions matrix itself.  It has one
-column per degree-t monomial and one row per pair (point, multi-index alpha
-of order g_i = min(m_i - 1, t)): by Euler's formula, for |alpha| < t,
-
-    (t - |alpha|) * D^alpha f(P) = sum_j P_j * (alpha_j + 1) * D^(alpha + e_j) f(P),
-
-so the rows of order g_i span those of every lower order, and a point never
-has more rows than columns.  The entry in row (i, alpha) and column beta is
-C(beta, alpha) * P_i^(beta - alpha), zero unless alpha <= beta.  Each row is
-built sparse and integral from the point times lead_i, the common
-denominator of its coordinates, which scales it by lead_i^(t - g_i);
-``conditions_matrix`` divides that out.
-
 A monomial or multi-index is the tuple of (variable, exponent) pairs of its
-nonzero exponents, X_0^2 X_3 as ((0, 2), (3, 1)), and an affine point a
-dict of its nonzero coordinates, so sizes follow the degree and the support,
-not the number of variables; exponent vectors appear only in
-``monomial_basis`` and the ``conditions_matrix`` labels.  Monomials of a
-fixed degree are listed in graded-lexicographic order with X_0 > X_1 > ...
-> X_n, i.e. exponent vectors in descending lexicographic order, so
-matrices, nullspace bases and JSON dumps are byte-stable.
+nonzero exponents, X_1^2 X_3 as ((1, 2), (3, 1)), and an affine point a dict
+of its nonzero coordinates, so sizes follow the degree and the support, not
+the number of variables.  Graded-lex order takes X_1 > X_2 > ... > X_dim
+within a degree, i.e. exponent vectors in descending lexicographic order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 
 from .errors import DegreeOutOfRange, InternalBoundViolation, ResourceLimit, brief, require_int
-from .exactlinalg import Matrix, binomial, _insert
+from .exactlinalg import binomial, _insert
 from .scheme import FatPointScheme, TruncatedScheme, UnitIdeal, _image_dim, multiplicity, truncate
 
 __all__ = [
     "COLUMN_CAP",
-    "MonomialBasis",
-    "ConditionsMatrix",
     "HilbertTable",
-    "monomial_basis",
-    "conditions_matrix",
     "ideal_dim",
     "hilbert_function",
     "regularity_index",
@@ -112,89 +91,12 @@ COLUMN_CAP = 20_000
 
 
 @dataclass(frozen=True)
-class MonomialBasis:
-    """All exponent vectors of one total degree, in a fixed order."""
-
-    num_vars: int
-    degree: int
-    exponents: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class ConditionsMatrix:
-    """Vanishing-conditions matrix plus its row and column labels.
-
-    row_index[k] is the pair (component position, derivative multi-index)
-    that produced row k.  Only multi-indices of the top order
-    min(m_i - 1, t) are listed: by Euler's formula their rows span those of
-    every lower order.  Columns follow ``basis.exponents``.
-    """
-
-    matrix: Matrix
-    row_index: tuple[tuple[int, tuple[int, ...]], ...]
-    basis: MonomialBasis
-
-
-@dataclass(frozen=True)
 class HilbertTable:
     """Values H(0), ..., H(reg) together with reg and the multiplicity."""
 
     values: tuple[int, ...]
     reg: int
     multiplicity: int
-
-
-def _monomials(num_vars: int, degree: int) -> dict[tuple[tuple[int, int], ...], int]:
-    """Each degree-``degree`` monomial in ``num_vars`` variables to its
-    graded-lex column: each is g * X_j, once, with j at least the last
-    variable of g, the step the pass takes to its candidates."""
-    level = [()]
-    for _ in range(degree):
-        level = [_times(g, j) for g in level for j in range(g[-1][0] if g else 0, num_vars)]
-    return {beta: k for k, beta in enumerate(level)}
-
-
-def _exponent_vector(monomial: tuple, num_vars: int) -> tuple[int, ...]:
-    exponents = dict(monomial)
-    return tuple(exponents.get(j, 0) for j in range(num_vars))
-
-
-def monomial_basis(num_vars: int, degree: int) -> MonomialBasis:
-    """Degree-``degree`` monomials in ``num_vars`` variables, graded-lex order."""
-    if num_vars < 1 or degree < 0:
-        raise ValueError("need at least one variable and a nonnegative degree")
-    exponents = tuple(_exponent_vector(m, num_vars) for m in _monomials(num_vars, degree))
-    return MonomialBasis(num_vars, degree, exponents)
-
-
-def _labelled_rows(scheme: FatPointScheme, dim: int, t: int):
-    """Yield ``((component, alpha), scale, row)`` for every degree-t row of
-    the scheme's points in P^dim, by component, then alpha of order
-    g = min(m_i - 1, t) in graded-lex order.
-
-    With c the integer representative of P_i, row (i, alpha) has one entry
-    prod_j C(beta_j, delta_j) * c^delta in column beta = alpha + delta for
-    each delta of degree t - g on the nonzero coordinates of c, the deltas
-    and powers c^delta computed once per component.  The row is the
-    normalized point's row times scale = lead_i^(t - g).
-    """
-    index = _monomials(dim + 1, t)
-    for ci, (point, mult) in enumerate(scheme.components):
-        lead, support, values = point._integral
-        g = min(mult - 1, t)
-        deltas = [
-            ([(support[k], d) for k, d in local], math.prod([values[k] ** d for k, d in local]))
-            for local in _monomials(len(support), t - g)
-        ]
-        for alpha in _monomials(dim + 1, g):
-            row = {}
-            for delta, coefficient in deltas:
-                beta = dict(alpha)
-                for j, d in delta:
-                    beta[j] = b = beta.get(j, 0) + d
-                    coefficient *= math.comb(b, d)
-                row[index[tuple(sorted(beta.items()))]] = coefficient
-            yield (ci, alpha), lead ** (t - g), row
 
 
 def _cap_check(ambient_dim: int, t: int, cap: int | None = None) -> None:
@@ -217,31 +119,6 @@ def _cap_check(ambient_dim: int, t: int, cap: int | None = None) -> None:
             f"degree {brief(t)} in P^{brief(ambient_dim)} needs {count} monomial "
             f"columns (cap {brief(cap)})"
         )
-
-
-def conditions_matrix(scheme: FatPointScheme, t: int) -> ConditionsMatrix:
-    """Exact conditions matrix of the scheme in degree t.
-
-    Rows are ordered by component, then by the derivative multi-index in
-    graded-lex order; entries use the normalized point coordinates, so row
-    (i, alpha) is the integer row divided by lead_i^(t - |alpha|).  Only
-    multi-indices of order min(m_i - 1, t) are listed: the rows of lower
-    orders lie in their span, so the rank and the nullspace are those of
-    every order up to m_i - 1.
-    """
-    _cap_check(scheme.ambient_dim, t)
-    basis = monomial_basis(scheme.ambient_dim + 1, t)
-    zero = Fraction(0)
-    dense_rows = []
-    labels = []
-    for (ci, alpha), scale, row in _labelled_rows(scheme, scheme.ambient_dim, t):
-        dense = [zero] * len(basis.exponents)
-        for c, v in row.items():
-            dense[c] = Fraction(v, scale)
-        dense_rows.append(dense)
-        labels.append((ci, _exponent_vector(alpha, basis.num_vars)))
-    matrix = Matrix.from_rows(dense_rows, cols=len(basis.exponents))
-    return ConditionsMatrix(matrix, tuple(labels), basis)
 
 
 def _times(monomial: tuple, j: int) -> tuple:

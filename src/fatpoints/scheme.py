@@ -271,6 +271,7 @@ def rnc_points(n: int, params: Sequence[tuple]) -> list[ProjectivePoint]:
     Each parameter pair is a point of the projective line; pairs must be
     nonzero and pairwise distinct there, which makes the images distinct.
     """
+    require_int(n, "ambient dimension")
     if n < 1:
         raise SchemeFormatError("ambient dimension must be at least 1")
     pairs = []
@@ -317,6 +318,8 @@ def gen_random(
     by the first two coordinate points, ``rnc`` puts them on the rational
     normal curve.
     """
+    require_int(n, "ambient dimension")
+    require_int(s, "number of points")
     if s != len(mults):
         raise SchemeFormatError(f"s = {s} but {len(mults)} multiplicities were given")
     if not mults:

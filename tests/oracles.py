@@ -1,12 +1,14 @@
 """Independent brute-force oracles the tests cross-check against.
 
 Everything here is deliberately written from scratch: textbook Gaussian
-elimination over Fractions for rank, Gauss-Jordan reduction over
-Fractions for kernels, a direct double loop for the vanishing-conditions
-matrix, and closed-form counts where they exist.  None of it shares code
-with the package's sparse integer elimination.
+elimination over Fractions for rank, on dense rows and on sparse rows, a
+direct double loop for the dense vanishing-conditions matrix, its top-order
+rows built sparse and keyed by exponent vector, and closed-form counts
+where they exist.  None of it shares code with the package's
+Buchberger-Moller pass or its elimination core.
 """
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -39,41 +41,6 @@ def naive_rank(rows) -> int:
         if rank == len(m):
             break
     return rank
-
-
-def naive_nullspace(rows, ncols: int):
-    """Kernel basis read off the reduced row echelon form (Gauss-Jordan).
-
-    Each pivot row is scaled to a leading 1 and then cleared from every
-    other row, above and below.  One vector per free column, in column
-    order: 1 at its free column, 0 at the others, and minus the RREF
-    entries of that column at the pivot columns.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        lead = m[r][col]
-        m[r] = [x / lead for x in m[r]]
-        for i in range(len(m)):
-            factor = m[i][col]
-            if i != r and factor != 0:
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -m[i][free]
-        basis.append(tuple(vec))
-    return basis
 
 
 def monomials(num_vars: int, degree: int):
@@ -109,6 +76,53 @@ def naive_conditions_rows(scheme, t: int, top_only: bool = False):
                     row.append(entry)
                 rows.append(row)
     return rows
+
+
+def sparse_conditions_rows(scheme, t: int):
+    """The rows of ``naive_conditions_rows(scheme, t, top_only=True)``, in
+    the same order, each a dict from exponent vector to nonzero entry: the
+    entry of row alpha at beta = alpha + delta is
+    prod_j C(beta_j, delta_j) * c_j^delta_j, for each delta of degree
+    t - |alpha| on the point's nonzero coordinates c_j."""
+    num_vars = scheme.ambient_dim + 1
+    rows = []
+    for point, mult in scheme.components:
+        coords = point.coords
+        support = [j for j, c in enumerate(coords) if c]
+        order = min(mult - 1, t)
+        for alpha in monomials(num_vars, order):
+            row = {}
+            for combo in itertools.combinations_with_replacement(support, t - order):
+                beta, entry = list(alpha), Fraction(1)
+                for j, d in collections.Counter(combo).items():
+                    beta[j] += d
+                    entry *= math.comb(beta[j], d) * coords[j] ** d
+                row[tuple(beta)] = entry
+            rows.append(row)
+    return rows
+
+
+def sparse_rank(rows) -> int:
+    """Rank of sparse rows by forward elimination with Fraction arithmetic:
+    each row, in turn, loses its least key to the pivot row stored there,
+    until it is zero or is stored as the pivot row of its least key."""
+    pivots = {}
+    for row in rows:
+        row = {key: Fraction(v) for key, v in row.items() if v}
+        while row:
+            key = min(row)
+            if key not in pivots:
+                pivots[key] = row
+                break
+            pivot = pivots[key]
+            factor = row[key] / pivot[key]
+            for k, v in pivot.items():
+                w = row.get(k, 0) - factor * v
+                if w:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+    return len(pivots)
 
 
 def naive_hilbert(scheme, t: int) -> int:

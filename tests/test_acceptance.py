@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 import fatpoints.hilbert as hilbert_mod
-from fatpoints.exactlinalg import Matrix, nullspace_basis, rank
+from fatpoints.exactlinalg import _insert
 from fatpoints.hilbert import hilbert_function, hilbert_table, regularity_index
 from fatpoints.scheme import FatPointScheme, gen_random, make_scheme, multiplicity
 from fatpoints.verify import (
@@ -276,24 +276,19 @@ def test_criterion_10_hilbert_table_shape(corpus, announce):
     )
 
 
-def test_criterion_11_linear_algebra_kernel(announce):
+def test_criterion_11_elimination_core(announce):
     started = time.monotonic()
     rng = random.Random(20_25)
     for _ in range(500):
         rows = rng.randint(0, 8)
         cols = rng.randint(1, 8)
-        m = Matrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)],
-            cols=cols,
-        )
-        r = rank(m)
-        assert r == naive_rank(m.to_rows())
-        basis = nullspace_basis(m)
-        assert r + len(basis) == m.cols
-        for vec in basis:
-            for i in range(m.rows):
-                assert sum(m.at(i, j) * vec[j] for j in range(m.cols)) == 0
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        pivots = {}
+        stored = [_insert(pivots, {j: v for j, v in enumerate(row) if v}) for row in m]
+        keys = [key for key in stored if key is not None]
+        assert len(keys) == len(pivots) == naive_rank(m)
+        assert all(min(pivots[key]) == key for key in keys)
     announce(
-        f"criterion 11 (rank/nullspace vs naive oracle, 500 matrices): "
+        f"criterion 11 (elimination core vs naive oracle, 500 matrices): "
         f"PASS in {time.monotonic() - started:.1f}s"
     )

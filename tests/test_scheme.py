@@ -15,8 +15,7 @@ from fatpoints.errors import (
     ZeroParameter,
     ZeroPoint,
 )
-from fatpoints.exactlinalg import Matrix, rank
-from fatpoints.hilbert import conditions_matrix
+from fatpoints.hilbert import hilbert_function
 from fatpoints.scheme import (
     FatPointScheme,
     ProjectivePoint,
@@ -31,6 +30,8 @@ from fatpoints.scheme import (
     scheme_to_json,
     truncate,
 )
+
+from oracles import naive_rank
 
 
 def test_point_normalization_scales_to_leading_one():
@@ -144,7 +145,7 @@ def test_cached_point_values_stay_out_of_json_fingerprint_and_equality():
         hash(p)
         p._integral
     embed(z, 4)
-    conditions_matrix(z, 3)
+    hilbert_function(z, 3)
     shown_hash = hash(z)
     assert "_integral" in vars(z.points[0]) and "_hash" in vars(z.points[0])
     assert vars(z)["_fingerprint"] == fingerprint and vars(z)["_hash"] == shown_hash
@@ -223,6 +224,11 @@ def test_rnc_points_parameter_validation():
         rnc_points(2, [(1, 2), (2, 4)])
     with pytest.raises(SchemeFormatError, match="^ambient dimension must be at least 1$"):
         rnc_points(0, [(1, 0)])
+    # True once gave points of P^1, and 2.0 failed deep in the power loop
+    for n in (True, 2.0):
+        message = f"^ambient dimension must be an int, got {type(n).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            rnc_points(n, [(1, 2), (3, 4)])
 
 
 def test_rnc_points_pairwise_distinct():
@@ -247,8 +253,7 @@ def test_gen_random_rnc_points_lie_on_conic():
 
 def test_gen_random_collinear_coordinate_rank():
     z = gen_random(2, 4, [1, 1, 1, 1], config="collinear", seed=3)
-    coord_matrix = Matrix.from_rows([list(p.coords) for p in z.points])
-    assert rank(coord_matrix) <= 2
+    assert naive_rank([p.coords for p in z.points]) <= 2
 
 
 def test_gen_random_validates_arguments():
@@ -259,6 +264,17 @@ def test_gen_random_validates_arguments():
     # the box [-5, 5]^2 holds fewer than 120 points of the line
     with pytest.raises(DuplicatePoint, match="^could not draw 120 distinct points"):
         gen_random(1, 120, [1] * 120, "collinear", 3)
+    # a dimension or a count that is not an int, a bool included, is refused
+    # before the range checks; a count of 2.0 was once accepted
+    refused = [
+        (2.0, 2, "ambient dimension", "float"),
+        (True, 2, "ambient dimension", "bool"),
+        (2, 2.0, "number of points", "float"),
+        (2, True, "number of points", "bool"),
+    ]
+    for n, s, what, kind in refused:
+        with pytest.raises(TypeError, match=f"^{what} must be an int, got {kind}$"):
+            gen_random(n, s, [1] * int(s), config="generic", seed=0)
 
 
 def test_gen_random_without_points_is_refused():
