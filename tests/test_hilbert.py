@@ -71,13 +71,16 @@ def _assert_matches_oracle(z, degrees):
 
 
 def test_sparse_oracle_matches_dense_oracle_on_fractional_points():
-    schemes = [
+    for z in _fractional_schemes():
+        _assert_matches_oracle(z, range(5))
+
+
+def _fractional_schemes():
+    return [
         make_scheme(1, [((Fraction(2, 3), Fraction(-5, 7)), 3), ((0, 1), 2)]),
         make_scheme(2, [((Fraction(3, 4), 0, Fraction(-1, 6)), 3), ((1, Fraction(2, 5), 3), 2)]),
         make_scheme(3, [((0, Fraction(1, 3), Fraction(-7, 2), 0), 2), ((5, 0, 0, Fraction(1, 9)), 1)]),
     ]
-    for z in schemes:
-        _assert_matches_oracle(z, range(5))
 
 
 def _support_pattern_schemes():
@@ -109,6 +112,71 @@ def test_sparse_oracle_matches_dense_oracle_on_every_support_pattern():
         _assert_matches_oracle(embed(z, z.ambient_dim + 1), range(5))
     assert (False, False, True) in supports and (True, True, False) in supports
     assert len(supports) == 7 + 15
+
+
+def test_oracle_rows_of_a_simple_point_of_the_line():
+    z = _single(1, 1)
+    assert sparse_conditions_rows(z, 1) == [{(1, 0): 1}]
+    assert hilbert_function(z, 1) == 1
+
+
+def test_oracle_rows_of_a_double_point_of_the_line():
+    z = _single(1, 2)
+    # only the first derivatives: by Euler's formula they span the value row
+    assert sparse_conditions_rows(z, 1) == [{(1, 0): 1}, {(0, 1): 1}]
+    assert hilbert_function(z, 1) == _sparse_hilbert(z, 1) == 2
+
+
+def test_oracle_rows_of_the_point_all_ones():
+    z = make_scheme(2, [((1, 1, 1), 1)])
+    assert sparse_conditions_rows(z, 1) == [{(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}]
+    assert hilbert_function(z, 1) == 1
+
+
+def test_oracle_rows_shape():
+    z = make_scheme(2, [((1, 2, 3), 3), ((0, 1, 1), 2)])
+    rows = sparse_conditions_rows(z, 4)
+    # one row per derivative multi-index of order min(m - 1, t), each on
+    # the degree-4 monomials
+    assert len(rows) == binomial(2 + 2, 2) + binomial(1 + 2, 2) == 9
+    assert all(sum(beta) == 4 for row in rows for beta in row)
+    assert len(set().union(*rows)) <= binomial(4 + 2, 2)
+    # orders above the degree give no rows: the top order is min(m - 1, t)
+    z = _single(3, 60)
+    assert len(sparse_conditions_rows(z, 1)) == 4
+    assert _sparse_hilbert(z, 1) == hilbert_function(z, 1) == 4
+
+
+def test_ideal_dim_is_the_corank_of_the_oracle_rows():
+    z = make_scheme(2, [((1, 0, 0), 2), ((1, 1, 1), 1)])
+    for t in range(5):
+        assert ideal_dim(z, t) == binomial(t + 2, 2) - _sparse_hilbert(z, t), t
+        assert ideal_dim(z, t, 3) == binomial(t + 3, 3) - _sparse_hilbert(embed(z, 3), t), t
+
+
+def test_rank_row_incremental_consistency():
+    # the rank of the first k oracle rows is nondecreasing, grows by at most
+    # one a row and ends at H(t)
+    z = make_scheme(2, [((1, 2, -1), 2), ((0, 1, 3), 2)])
+    for t in range(5):
+        rows = sparse_conditions_rows(z, t)
+        previous = 0
+        for k in range(1, len(rows) + 1):
+            partial = sparse_rank(rows[:k])
+            assert partial in (previous, previous + 1)
+            previous = partial
+        assert previous == hilbert_function(z, t), t
+
+
+def test_pass_matches_the_sparse_oracle_on_fractional_points_and_support_patterns():
+    # the chart L = 1 and the integer representatives of fractional points
+    # with zero coordinates, in the scheme's own space and in P^(n+1)
+    for z in _fractional_schemes() + _support_pattern_schemes():
+        n = z.ambient_dim
+        for m in (n, n + 1):
+            image = embed(z, m)
+            for t in range(regularity_index(z, m) + 2):
+                assert hilbert_function(z, t, m) == _sparse_hilbert(image, t), (z, m, t)
 
 
 def test_the_hilbert_layer_keeps_one_cache():
@@ -566,6 +634,52 @@ def test_image_values_match_the_sparse_and_dense_oracles_on_the_corpus():
                 assert hilbert_function(z, t, m) == _sparse_hilbert(image, t), (z, m, t)
                 if binomial(t + m, m) <= 20:
                     assert hilbert_function(z, t, m) == naive_hilbert(image, t), (z, m, t)
+
+
+def test_source_values_read_from_a_warm_pass_eliminate_nothing(monkeypatch):
+    # once the pass has walked to reg + 1, H(t) and every truncation up to
+    # that degree are reads of its totals and pivot keys
+    for z, reg in _pass_cases(10):
+        hilbert_mod._pass.cache_clear()
+        assert hilbert_function(z, reg + 1) == multiplicity(z, z.ambient_dim)
+        with monkeypatch.context() as mp:
+            mp.setattr(hilbert_mod, "_insert", _no_elimination)
+            for k in range(max(z.multiplicities) + 1):
+                for t in range(reg + 2):
+                    hilbert_function(z, t, drop=k)
+
+
+def test_image_values_read_from_a_warm_pass_eliminate_nothing(monkeypatch):
+    # H(t), the truncations and the old-variable count of every image
+    for z, _ in _pass_cases(10):
+        n = z.ambient_dim
+        for m in range(n + 1, n + 4):
+            hilbert_mod._pass.cache_clear()
+            reg = regularity_index(z, m)
+            hilbert_function(z, reg + 1, m)
+            with monkeypatch.context() as mp:
+                mp.setattr(hilbert_mod, "_insert", _no_elimination)
+                for t in range(reg + 2):
+                    for k in range(max(z.multiplicities) + 1):
+                        hilbert_function(z, t, m, drop=k)
+                    hilbert_pass(z, m).old_rank(t)
+
+
+def test_a_finished_pass_keys_every_functional_once():
+    # its pivots span the e functionals (i, alpha), |alpha| <= m_i - 1, and
+    # their keys, (|alpha| - (m_i - 1), i, alpha), are distinct: so they are
+    # those keys, each once, and no degree kept more than its columns
+    for w, m in _euler_cases():
+        walk = hilbert_mod._Pass(w, m)
+        walk.reg()
+        expected = set()
+        for i, mult in enumerate(w.multiplicities):
+            for order in range(mult):
+                for vector in monomials(m, order):
+                    alpha = tuple((j + 1, e) for j, e in enumerate(vector) if e)
+                    expected.add((order - (mult - 1), i, alpha))
+        assert set(walk.pivots) == expected and len(walk.pivots) == walk.size, (w, m)
+        assert all(h <= binomial(t + m, m) for t, h in enumerate(walk.totals)), (w, m)
 
 
 def test_pass_prefix_counts_are_the_truncations():
