@@ -129,20 +129,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     scheme = _load_scheme(args.scheme)
-    if args.checks is None:
-        names, explicit = ["all"], False
-    else:
-        names = [part for part in args.checks.split(",") if part != ""]
-        if not names:
-            raise FatpointsError("check list is empty")
-        explicit = "all" not in names
-    reports = run_checks(
-        scheme,
-        args.target_dim,
-        names,
-        prop44_diagnostic=args.prop44_diagnostic,
-        explicit=explicit,
-    )
+    names = ["all"] if args.checks is None else [p for p in args.checks.split(",") if p]
+    reports = run_checks(scheme, args.target_dim, names, prop44_diagnostic=args.prop44_diagnostic)
     failed = False
     for report in reports:
         diagnostic = report.check in DIAGNOSTIC_CHECKS

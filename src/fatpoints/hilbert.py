@@ -146,7 +146,7 @@ class _Pass:
     regularity index is stored too."""
 
     def __init__(self, scheme: FatPointScheme, dim: int, cap: int | None = None):
-        points = [point._integral[1:] for point, _ in scheme.components]
+        points = [point._integral for point, _ in scheme.components]
         k = 0  # the least k at which L = sum_j k^j X_j vanishes at no point
         while not all(values := [sum(v * k**j for j, v in zip(*p)) for p in points]):
             k += 1
@@ -271,7 +271,10 @@ def hilbert_pass(scheme: FatPointScheme, target_dim: int | None = None) -> _Pass
     ``embed(scheme, target_dim)``.  Its ``h``, ``ideal_dim`` and ``reg``
     answer the functions of those names, and ``old_rank`` counts the image's
     standard monomials in the source's variables.  The memo is
-    keyed by the cap too, so no value outlives a change of ``COLUMN_CAP``."""
+    keyed by the cap too, so no value outlives a change of ``COLUMN_CAP``.
+    The unit ideal has no pass and is refused."""
+    if isinstance(scheme, UnitIdeal):
+        raise ValueError("a pass needs a nonempty scheme")
     return _pass(scheme, _image_dim(scheme, target_dim), COLUMN_CAP)
 
 
@@ -319,8 +322,6 @@ def regularity_index(scheme: FatPointScheme, target_dim: int | None = None) -> i
     exceeding it means the Hilbert computation itself is broken, so that
     raises InternalBoundViolation rather than looping.
     """
-    if isinstance(scheme, UnitIdeal):
-        raise ValueError("the regularity index needs a nonempty scheme")
     return hilbert_pass(scheme, target_dim).reg()
 
 
@@ -331,14 +332,14 @@ def hilbert_table(scheme: FatPointScheme) -> HilbertTable:
     multiplicity and stay there one degree further; a violation indicates
     a bug and raises InternalBoundViolation.
     """
-    reg = regularity_index(scheme)
-    values = tuple(hilbert_function(scheme, t) for t in range(reg + 1))
-    e = multiplicity(scheme)
+    walk = hilbert_pass(scheme)
+    reg, e = walk.reg(), walk.size
+    values = tuple(walk.h(t) for t in range(reg + 1))
     ok = (
         values[0] == 1
         and all(a < b for a, b in zip(values, values[1:]))
         and values[-1] == e
-        and hilbert_function(scheme, reg + 1) == e
+        and walk.h(reg + 1) == e
     )
     if not ok:
         raise InternalBoundViolation(f"malformed Hilbert table {values} for e = {e}")

@@ -103,8 +103,8 @@ class ProjectivePoint:
         return len(self.coords) - 1
 
     # The hash and the integer representative are computed once per point,
-    # on first use, for the row builder's hot path, and kept out of the
-    # dataclass fields: equality, repr and JSON never see them.
+    # on first use, and kept out of the dataclass fields: equality, repr and
+    # JSON never see them.
 
     def __hash__(self) -> int:
         return self._hash
@@ -114,16 +114,16 @@ class ProjectivePoint:
         return hash(self.coords)
 
     @cached_property
-    def _integral(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """``(lead, support, values)``: the least common denominator of the
-        coordinates, the positions of the nonzero coordinates, and the
-        integer representative (the point times lead) at those positions."""
+    def _integral(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(support, values)``: the positions of the nonzero coordinates,
+        and the integer representative, the point times the least common
+        denominator of its coordinates, at those positions."""
         lead = math.lcm(*(c.denominator for c in self.coords))
         support = tuple(j for j, c in enumerate(self.coords) if c)
         values = tuple(
             self.coords[j].numerator * (lead // self.coords[j].denominator) for j in support
         )
-        return lead, support, values
+        return support, values
 
 
 @dataclass(frozen=True)
@@ -227,10 +227,13 @@ def _image_dim(scheme: TruncatedScheme, target_dim: int | None) -> int:
     return target_dim
 
 
-def multiplicity(scheme: FatPointScheme, target_dim: int | None = None) -> int:
+def multiplicity(scheme: TruncatedScheme, target_dim: int | None = None) -> int:
     """Multiplicity e of the coordinate ring: sum of C(m_i + n - 1, n), for
-    the scheme or, with n = target_dim, its image ``embed(scheme, target_dim)``."""
+    the scheme or, with n = target_dim, its image ``embed(scheme, target_dim)``;
+    0 for the unit ideal."""
     n = _image_dim(scheme, target_dim)
+    if isinstance(scheme, UnitIdeal):
+        return 0
     return sum(binomial(m + n - 1, n) for m in scheme.multiplicities)
 
 
@@ -365,8 +368,8 @@ def scheme_to_json_dict(scheme: FatPointScheme) -> dict:
     }
 
 
-def scheme_to_json(scheme: FatPointScheme, indent: int | None = 2) -> str:
-    return json.dumps(scheme_to_json_dict(scheme), indent=indent, sort_keys=True)
+def scheme_to_json(scheme: FatPointScheme) -> str:
+    return json.dumps(scheme_to_json_dict(scheme), indent=2, sort_keys=True)
 
 
 def scheme_from_json_dict(doc: dict) -> FatPointScheme:

@@ -392,10 +392,10 @@ def check_rnc(scheme: FatPointScheme, target_dim: int) -> VerificationReport:
     return _report("rnc", scheme, target_dim, records)
 
 
-def _rnc_report(scheme: FatPointScheme, target_dim: int, explicit: bool) -> VerificationReport:
+def _rnc_report(scheme: FatPointScheme, target_dim: int, named: bool) -> VerificationReport:
     """check_rnc, or a passing not-applicable report when the scheme is off
-    the curve or has one point and the check was not selected explicitly."""
-    if explicit or (scheme.num_points >= 2 and points_on_rnc(scheme)):
+    the curve or has one point and the check was not named."""
+    if named or (scheme.num_points >= 2 and points_on_rnc(scheme)):
         return check_rnc(scheme, target_dim)
     if scheme.num_points < 2:
         why = "fewer than two points"
@@ -423,21 +423,26 @@ def run_checks(
     target_dim: int,
     names=("all",),
     prop44_diagnostic: bool = False,
-    explicit: bool = False,
 ) -> list[VerificationReport]:
     """Run the selected checks in a fixed order and return their reports.
 
-    With the default selection ("all"), checks whose preconditions the
-    scheme does not meet (rnc off the curve or with one point) come back as
-    passing not-applicable reports; explicitly selected checks raise
-    instead.  ``prop44_diagnostic`` appends the displayed-coefficient
-    variant, which is expected to fail and is listed in DIAGNOSTIC_CHECKS.
-    A target that is not an int is refused before any check runs.
+    ``names`` is a sequence of CHECK_NAMES or "all"; an empty one, a str,
+    and an unknown name without "all" are refused.  Under "all", a check
+    whose preconditions the scheme does not meet (rnc off the curve or with
+    one point) is a passing not-applicable report; a named check raises.
+    ``prop44_diagnostic`` appends the displayed-coefficient variant, which
+    is expected to fail and is listed in DIAGNOSTIC_CHECKS.  A target that
+    is not an int is refused before any check runs.
     """
-    requested = list(names)
-    if "all" in requested:
-        requested = list(CHECK_NAMES)
-    unknown = sorted(set(requested) - set(CHECK_NAMES))
+    if isinstance(names, str):
+        raise TypeError("names must be a sequence of check names, got str")
+    requested = set(names)
+    if not requested:
+        raise SchemeFormatError("check list is empty")
+    named = "all" not in requested
+    if not named:
+        requested = set(CHECK_NAMES)
+    unknown = sorted(requested - set(CHECK_NAMES))
     if unknown:
         raise SchemeFormatError(f"unknown checks: {', '.join(unknown)}")
     require_int(target_dim, "target dimension")  # also where no selected check reaches an image
@@ -450,7 +455,7 @@ def run_checks(
         "prop44": [check_prop44] + ([check_prop44_displayed] if prop44_diagnostic else []),
         "restriction": [check_restriction_range],
         "lemma23": [lambda scheme, target_dim: check_lemma23(scheme)],
-        "rnc": [lambda scheme, target_dim: _rnc_report(scheme, target_dim, explicit)],
+        "rnc": [lambda scheme, target_dim: _rnc_report(scheme, target_dim, named)],
     }
     reports = []
     for name in CHECK_NAMES:

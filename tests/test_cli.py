@@ -9,11 +9,18 @@ import pytest
 
 import fatpoints.verify as verify_mod
 from fatpoints.cli import main
-from fatpoints.errors import SchemeFormatError
+from fatpoints.errors import FatpointsError, SchemeFormatError
 from fatpoints.exactlinalg import binomial
 from fatpoints.hilbert import hilbert_function, regularity_index
 from fatpoints.scheme import embed, make_scheme, scheme_from_json, scheme_to_json
-from fatpoints.verify import CheckRecord, VerificationReport, report_from_json
+from fatpoints.verify import (
+    CHECK_NAMES,
+    CheckRecord,
+    VerificationReport,
+    report_from_json,
+    report_to_json,
+    run_checks,
+)
 
 
 @pytest.fixture
@@ -200,6 +207,30 @@ def test_verify_empty_check_list_exit_one(triple_point_file, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "fatpoints: error: check list is empty\n"
+
+
+def test_verify_and_run_checks_agree_on_every_selection(tmp_path, capsys):
+    # the library owns the selection rule: the CLI only splits --checks, so a
+    # selection raises in run_checks exactly when verify exits 1 with its
+    # message, and otherwise prints the library's reports
+    one_point = make_scheme(2, [((1, 2, 3), 2)])
+    off_curve = make_scheme(2, [((1, 0, 1), 1), ((0, 1, 0), 1)])
+    for k, z in enumerate((one_point, off_curve)):
+        path = tmp_path / f"{k}.json"
+        path.write_text(scheme_to_json(z))
+        for checks in (*CHECK_NAMES, "all", "rnc,all"):
+            argv = ["verify", "--scheme", str(path), "--target-dim", "3"]
+            code = main([*argv, "--checks", checks, "--format", "json"])
+            captured = capsys.readouterr()
+            try:
+                reports = run_checks(z, 3, checks.split(","))
+            except FatpointsError as exc:
+                assert (code, captured.out) == (1, ""), (k, checks)
+                assert captured.err == f"fatpoints: error: {exc}\n", (k, checks)
+                continue
+            assert code == (0 if all(r.passed for r in reports) else 2), (k, checks)
+            lines = [report_to_json(r) for r in reports]
+            assert captured.out.splitlines() == lines and captured.err == "", (k, checks)
 
 
 def test_input_errors_exit_one(tmp_path, capsys):

@@ -21,7 +21,7 @@ from fatpoints.hilbert import (
     regularity_index,
 )
 from fatpoints.exactlinalg import binomial
-from fatpoints.verify import check_restriction_range
+from fatpoints.verify import DIAGNOSTIC_CHECKS, check_restriction_range, run_checks
 from fatpoints.scheme import (
     UnitIdeal,
     embed,
@@ -292,6 +292,12 @@ def test_far_images_have_the_values_of_their_moved_images(monkeypatch, offset):
         assert regularity_index(z, m) == reg == regularity_index(moved), (z, m)
         for t in range(reg + 2):
             assert hilbert_function(z, t, m) == hilbert_function(moved, t), (z, m, t)
+        # every check at the far target; its image sides are the moved image's
+        reports = {r.check: r for r in run_checks(z, m, ("all",), prop44_diagnostic=True)}
+        assert all(r.passed for r in reports.values() if r.check not in DIAGNOSTIC_CHECKS)
+        lhs = [r.lhs for r in reports["transfer"].records]
+        assert lhs == [hilbert_function(moved, t) for t in range(reg)], (z, m)
+        assert reports["reg_invariance"].records[0].rhs == regularity_index(moved)
 
 
 def test_regularity_single_fat_point():
@@ -373,8 +379,17 @@ def test_regularity_refused_before_any_elimination(monkeypatch):
 
 
 def test_unit_ideal_regularity_rejected():
-    with pytest.raises(ValueError):
-        regularity_index(UnitIdeal(2))
+    # the unit ideal has no pass: the pass refuses it, and the reads through
+    # the pass refuse it there; its Hilbert values are still 0
+    z = make_scheme(2, [((1, 0, 0), 3), ((0, 1, 1), 2)])
+    message = "^a pass needs a nonempty scheme$"
+    for unit in (truncate(z, 3), truncate(z, 7), UnitIdeal(4)):
+        for read in (hilbert_pass, regularity_index, hilbert_table):
+            with pytest.raises(ValueError, match=message):
+                read(unit)
+        with pytest.raises(ValueError, match=message):
+            hilbert_pass(unit, 6)
+    assert hilbert_function(truncate(z, 3), 2) == 0 == hilbert_function(z, 2, drop=3)
 
 
 def test_safety_cap_flags_broken_hilbert_values(monkeypatch):

@@ -198,6 +198,20 @@ def test_truncate_to_unit_ideal():
     assert truncate(UnitIdeal(1), 2) == UnitIdeal(1)
 
 
+def test_unit_ideal_has_multiplicity_zero():
+    # every Hilbert value of the unit ideal is 0, its multiplicity too; the
+    # target rule still holds
+    z = make_scheme(2, [((1, 0, 0), 3), ((0, 1, 1), 2)])
+    for k in (3, 4):
+        assert multiplicity(truncate(z, k)) == 0
+        assert multiplicity(truncate(z, k), 5) == 0
+    assert multiplicity(truncate(z, 2)) == 1  # one simple point left
+    with pytest.raises(TargetTooSmall):
+        multiplicity(truncate(z, 3), 1)
+    with pytest.raises(TypeError):
+        multiplicity(UnitIdeal(2), 3.0)
+
+
 def test_truncate_identity_and_negative_shift():
     z = make_scheme(1, [((1, 0), 2), ((0, 1), 1)])
     assert truncate(z, 0) == z

@@ -440,9 +440,19 @@ class TestRunChecks:
     def test_explicit_rnc_raises_off_curve(self):
         z = make_scheme(2, [((1, 0, 1), 1), ((0, 1, 0), 1)])
         with pytest.raises(NotOnRationalNormalCurve):
-            run_checks(z, 3, ["rnc"], explicit=True)
-        reports = run_checks(z, 3, ["rnc"])  # default: skip with a note
-        assert reports[0].passed and "not applicable" in reports[0].note
+            run_checks(z, 3, ["rnc"])  # named: raises, as --checks rnc does
+        reports = run_checks(z, 3, ("all",))  # under "all": skipped with a note
+        rnc = next(r for r in reports if r.check == "rnc")
+        assert rnc.passed and "not applicable" in rnc.note
+
+    def test_str_and_empty_selections_are_refused(self):
+        message = "^names must be a sequence of check names, got str$"
+        for names in ("reg", "all", ""):
+            with pytest.raises(TypeError, match=message):
+                run_checks(DOUBLE_LINE, 2, names)
+        for names in ([], (), set()):
+            with pytest.raises(SchemeFormatError, match="^check list is empty$"):
+                run_checks(DOUBLE_LINE, 2, names)
 
 
 def test_report_json_round_trip():
